@@ -2,6 +2,8 @@
 
 import math
 
+import numpy as np
+
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -27,15 +29,7 @@ def golden_section(f, lo, hi, tol=1e-8, max_iter=400):
     return 0.5 * (a + b)
 
 
-def grid_then_golden(f, lo, hi, step, tol=1e-8):
-    """Coarse grid argmin followed by golden-section refinement of the bracketing cells."""
-    n = max(2, int(round((hi - lo) / step)) + 1)
-    best_x, best_v, best_i = lo, f(lo), 0
-    for i in range(1, n):
-        x = lo + i * step
-        v = f(x)
-        if v < best_v:
-            best_x, best_v, best_i = x, v, i
-    a = lo + max(0, best_i - 1) * step
-    b = lo + min(n - 1, best_i + 1) * step
-    return golden_section(f, a, b, tol=tol)
+def grid_then_golden(f, grid, tol):
+    """Argmin of f over the ascending ``grid``, refined by golden section between its neighbors."""
+    i = int(np.argmin([f(x) for x in grid]))
+    return golden_section(f, grid[max(0, i - 1)], grid[min(len(grid) - 1, i + 1)], tol=tol)

@@ -12,62 +12,17 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
 from . import datasets, distmodel, entropy, fpq, trainer
 
-_TRAIN_KEYS = {
-    "eta": float,
-    "gamma": None,  # scalar or list
-    "epochs": int,
-    "users": int,
-    "batch_size": int,
-    "fp": None,  # "1,2,1" or [1, 2, 1]
-    "seed": int,
-    "dataset": str,
-    "data_path": str,
-    "out": str,
-    "include_headers_in_payload": None,
-    "quantizer": str,
-    "bias_mode": str,
-    "shard_mode": str,
-    "blobs_n": int,
-    "blobs_classes": int,
-    "blobs_features": int,
-    "blobs_seed": int,
-    "blobs_separation": float,
-    "blobs_feature_scale": float,
-    "hidden": None,
-}
-
-_DEFAULTS = {
-    "eta": 0.01,
-    "gamma": [0.9],
-    "epochs": 30,
-    "users": 1,
-    "batch_size": 64,
-    "fp": [1, 2, 1],
-    "seed": 0,
-    "dataset": "blobs",
-    "data_path": None,
-    "out": "runs",
-    "include_headers_in_payload": True,
-    "quantizer": "fp",
-    "bias_mode": "optimize",
-    "shard_mode": "partition",
-    "blobs_n": 5000,
-    "blobs_classes": 10,
-    "blobs_features": 32,
-    "blobs_seed": 7,
-    "blobs_separation": 2.4,
-    "blobs_feature_scale": 0.35,
-    "hidden": [128, 64],
-}
-
-
 def _parse_fp(value):
+    if isinstance(value, fpq.FpFormat):
+        return value
     parts = [int(v) for v in (value.split(",") if isinstance(value, str) else value)]
     if len(parts) != 3:
         raise ValueError(f"fp format needs sign,mant,exp — got {value!r}")
@@ -93,32 +48,72 @@ def _parse_bool(value):
     raise ValueError(f"expected true/false, got {value!r}")
 
 
+def _parse_hidden(value):
+    return tuple(int(h) for h in value)
+
+
+class _Setting(NamedTuple):
+    """One `co3 train` setting; its key names it in a --config JSON file."""
+
+    flag: str | None  # None: settable from --config only
+    parse: Callable
+    field: str | None = None  # the TrainConfig field it sets; None: a setting of the CLI alone
+    default: Any = None  # default of a CLI-only setting; TrainConfig supplies the others
+    help: str | None = None
+
+
+# Every `co3 train` setting, declared once. TrainConfig validates the values of
+# the settings it backs, whether they come from a flag or a JSON file.
+_SETTINGS = {
+    "eta": _Setting("--eta", float, "eta"),
+    "gamma": _Setting("--gamma", _parse_gammas, "gamma", help="memory decay, comma list sweeps"),
+    "epochs": _Setting("--epochs", int, "epochs"),
+    "users": _Setting("--users", int, "users"),
+    "batch_size": _Setting("--batch", int, "batch_size"),
+    "fp": _Setting("--fp", _parse_fp, "fmt", help="sign,mant,exp e.g. 1,2,1"),
+    "seed": _Setting("--seed", int, "seed"),
+    "include_headers_in_payload": _Setting(
+        "--include-headers-in-payload", _parse_bool, "include_headers", help="true or false"
+    ),
+    "quantizer": _Setting("--quantizer", str, "quantizer", help="fp or identity"),
+    "bias_mode": _Setting("--bias-mode", str, "bias_mode", help="optimize, polynomial or fixed"),
+    "shard_mode": _Setting("--shard-mode", str, "shard_mode", help="partition or replicate"),
+    "hidden": _Setting(None, _parse_hidden, "hidden"),
+    "dataset": _Setting("--dataset", str, default="blobs", help="blobs, cifar10, idx or csv"),
+    "data_path": _Setting("--data-path", str),
+    "out": _Setting("--out", str, default="runs"),
+    "blobs_n": _Setting(None, int, default=5000),
+    "blobs_classes": _Setting(None, int, default=10),
+    "blobs_features": _Setting(None, int, default=32),
+    "blobs_seed": _Setting(None, int, default=7),
+    "blobs_separation": _Setting(None, float, default=2.4),
+    "blobs_feature_scale": _Setting(None, float, default=0.35),
+}
+_CONFIG_DEFAULTS = {f.name: f.default for f in fields(trainer.TrainConfig)}
+
+
 def _load_config_file(path):
     with open(path) as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError("config file must hold a JSON object")
-    unknown = sorted(set(doc) - set(_TRAIN_KEYS))
+    unknown = sorted(set(doc) - set(_SETTINGS))
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     return doc
 
 
 def _resolve_settings(args):
-    settings = dict(_DEFAULTS)
+    settings = {key: _CONFIG_DEFAULTS[s.field] if s.field else s.default for key, s in _SETTINGS.items()}
     if args.config:
         settings.update(_load_config_file(args.config))
-    for key in _TRAIN_KEYS:
+    for key in _SETTINGS:
         flag = getattr(args, key, None)
         if flag is not None:
             settings[key] = flag
     if os.environ.get("CO3_OUT"):
         settings["out"] = os.environ["CO3_OUT"]
-    settings["gamma"] = _parse_gammas(settings["gamma"])
-    settings["fmt"] = _parse_fp(settings["fp"])
-    settings["include_headers_in_payload"] = _parse_bool(settings["include_headers_in_payload"])
-    settings["hidden"] = tuple(int(h) for h in settings["hidden"])
-    return settings
+    return {key: None if v is None else _SETTINGS[key].parse(v) for key, v in settings.items()}
 
 
 def _build_dataset(settings):
@@ -133,15 +128,16 @@ def _build_dataset(settings):
             separation=settings["blobs_separation"],
             feature_scale=settings["blobs_feature_scale"],
         )
+    loaders = {
+        "cifar10": lambda path: datasets.load_cifar10_binary(path, limit=5000),
+        "idx": datasets.load_idx,
+        "csv": datasets.load_csv,
+    }
+    if kind not in loaders:
+        raise ValueError(f"unknown dataset {kind!r}")
     if settings["data_path"] is None:
         raise ValueError(f"--data-path is required for dataset {kind!r}")
-    if kind == "cifar10":
-        return datasets.load_cifar10_binary(settings["data_path"], limit=5000)
-    if kind == "idx":
-        return datasets.load_idx(settings["data_path"])
-    if kind == "csv":
-        return datasets.load_csv(settings["data_path"])
-    raise ValueError(f"unknown dataset {kind!r}")
+    return loaders[kind](settings["data_path"])
 
 
 def cmd_train(args):
@@ -151,22 +147,9 @@ def cmd_train(args):
     out = Path(settings["out"])
     out.mkdir(parents=True, exist_ok=True)
     summaries = []
+    config_settings = {s.field: settings[key] for key, s in _SETTINGS.items() if s.field}
     for gamma in gammas:
-        config = trainer.TrainConfig(
-            eta=settings["eta"],
-            gamma=gamma,
-            epochs=settings["epochs"],
-            users=settings["users"],
-            batch_size=settings["batch_size"],
-            fmt=settings["fmt"],
-            seed=settings["seed"],
-            quantizer=settings["quantizer"],
-            bias_mode=settings["bias_mode"],
-            shard_mode=settings["shard_mode"],
-            include_headers=settings["include_headers_in_payload"],
-            hidden=settings["hidden"],
-            keep_fit_samples=True,
-        )
+        config = trainer.TrainConfig(**dict(config_settings, gamma=gamma), keep_fit_samples=True)
         rundir = out if len(gammas) == 1 else out / f"gamma_{gamma:g}"
         metrics, _ = trainer.train(config, dataset)
         metrics.write(rundir)
@@ -284,25 +267,9 @@ def build_parser():
 
     t = sub.add_parser("train", help="run the compressed-training simulator")
     t.add_argument("--config", type=str, default=None, help="JSON config file")
-    t.add_argument("--eta", type=float, default=None)
-    t.add_argument("--gamma", type=str, default=None, help="memory decay, comma list sweeps")
-    t.add_argument("--epochs", type=int, default=None)
-    t.add_argument("--users", type=int, default=None)
-    t.add_argument("--batch", dest="batch_size", type=int, default=None)
-    t.add_argument("--fp", type=str, default=None, help="sign,mant,exp e.g. 1,2,1")
-    t.add_argument("--seed", type=int, default=None)
-    t.add_argument("--dataset", choices=("blobs", "cifar10", "idx", "csv"), default=None)
-    t.add_argument("--data-path", dest="data_path", type=str, default=None)
-    t.add_argument("--out", type=str, default=None)
-    t.add_argument(
-        "--include-headers-in-payload",
-        dest="include_headers_in_payload",
-        choices=("true", "false"),
-        default=None,
-    )
-    t.add_argument("--quantizer", choices=("fp", "identity"), default=None)
-    t.add_argument("--bias-mode", dest="bias_mode", choices=("optimize", "polynomial", "fixed"), default=None)
-    t.add_argument("--shard-mode", dest="shard_mode", choices=("partition", "replicate"), default=None)
+    for key, setting in _SETTINGS.items():
+        if setting.flag:
+            t.add_argument(setting.flag, dest=key, type=str, default=None, help=setting.help)
     t.set_defaults(func=cmd_train)
 
     b = sub.add_parser("bias-sweep", help="grid-optimized vs polynomial exponent bias")

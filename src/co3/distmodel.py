@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._minimize import golden_section
+from ._minimize import grid_then_golden
 
 BETA_SEARCH_RANGE = (0.1, 5.0)
 MIN_FIT_SAMPLES = 100
@@ -267,14 +267,8 @@ def fit_gennorm(samples):
             - 1.0 / beta
         )
 
-    lo, hi = BETA_SEARCH_RANGE
     # geometric coarse grid: the likelihood varies on a log scale in beta
-    grid = np.geomspace(lo, hi, 61)
-    vals = [neg_profile_loglik(b) for b in grid]
-    i = int(np.argmin(vals))
-    a = grid[max(0, i - 1)]
-    b = grid[min(len(grid) - 1, i + 1)]
-    beta = golden_section(neg_profile_loglik, a, b, tol=1e-7)
+    beta = grid_then_golden(neg_profile_loglik, np.geomspace(*BETA_SEARCH_RANGE, 61), 1e-7)
     return GenNormParams(beta, mu, profile_alpha(beta, dev))
 
 

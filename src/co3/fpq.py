@@ -11,8 +11,9 @@ The exponent bias is chosen to minimize the expected squared quantization
 error under a fitted GenNorm gradient model, evaluated by deterministic
 composite quadrature (``optimize_bias``). ``bias_polynomial`` is a cheap
 quartic in the shape parameter, least-squares fitted to that optimum for the
-FP4 ``[1,2,1]`` format under a unit-variance GenNorm; it holds to within
-about 0.011 for beta in [0.3, 1.6] and is not valid for other formats.
+FP4 ``[1,2,1]`` format under a unit-variance GenNorm and shifted by
+log2(sigma) for other scales; it holds to within about 0.011 for beta in
+[0.3, 1.6] and is not valid for other formats.
 """
 
 import logging
@@ -22,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._minimize import golden_section
+from ._minimize import grid_then_golden
 from .distmodel import GenNormParams, gennorm_pdf
 
 log = logging.getLogger(__name__)
@@ -206,31 +207,29 @@ def optimize_bias(dist, fmt, search=BiasSearchConfig()):
     sigma = dist.sigma
     unit = GenNormParams(dist.beta, dist.mu / sigma, dist.alpha / sigma)
 
-    def objective(b):
-        return bias_objective(b, unit, fmt, search)
-
-    bs = np.arange(search.grid_lo, search.grid_hi + 0.5 * search.grid_step, search.grid_step)
-    vals = [objective(b) for b in bs]
-    i = int(np.argmin(vals))
-    a = bs[max(0, i - 1)]
-    c = bs[min(bs.size - 1, i + 1)]
-    b_unit = golden_section(objective, a, c, tol=search.tol)
+    b_unit = grid_then_golden(
+        lambda b: bias_objective(b, unit, fmt, search),
+        np.arange(search.grid_lo, search.grid_hi + 0.5 * search.grid_step, search.grid_step),
+        search.tol,
+    )
     return float(b_unit + math.log2(sigma))
 
 
 def bias_polynomial(beta, sigma):
-    """Quartic-in-shape approximation of the optimal bias, scaled by 1/sigma.
+    """Quartic-in-shape approximation of the optimal bias, shifted by log2(sigma).
 
     The quartic is a degree-4 least-squares fit of ``optimize_bias`` for FP4
     ``[1,2,1]`` under the unit-variance GenNorm of shape ``beta``, sampled at
     beta = 0.30, 0.35, ..., 1.60, with coefficients rounded to 3 decimals.
-    Within that range it is within about 0.011 of the optimum; outside it is
-    an extrapolation. It applies to FP4 only: the trainer's polynomial bias
-    mode uses it whatever the configured format is. To regenerate, fit a
+    Levels scale as 2**bias, so for standard deviation ``sigma`` the optimum
+    moves by exactly log2(sigma), as in ``optimize_bias``. Within that beta
+    range it is within about 0.011 of the optimum; outside it is an
+    extrapolation. It applies to FP4 only, which is why the trainer accepts
+    the polynomial bias mode only with that format. To regenerate, fit a
     degree-4 polynomial to the ``b_grid`` column written by
     ``co3 bias-sweep --beta-min 0.3 --beta-max 1.6 --beta-step 0.05 --sigma 1``.
     """
     if beta <= 0 or sigma <= 0:
         raise ValueError("beta and sigma must be positive")
     poly = 3.496 - 5.631 * beta + 4.780 * beta**2 - 2.015 * beta**3 + 0.329 * beta**4
-    return poly / sigma
+    return poly + math.log2(sigma)

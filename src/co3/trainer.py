@@ -1,16 +1,18 @@
 """Synchronous parameter-server training simulator.
 
 A from-scratch dense ReLU network is trained by SGD across U users. Each
-round every user computes its local gradient, adds the decayed feedback
-memory, quantizes to the low-bit floating-point grid, Huffman-encodes the
-symbols, and "uplinks" the block; the server decodes every stream and applies
-the descent step w <- w - (eta / U) * sum of decoded gradients, reducing in
-ascending user order so runs are bitwise reproducible.
+round runs in three steps:
 
-Distribution fits, exponent biases, and codebooks are refreshed once per
-epoch (configurable to per-iteration) from the actual quantizer inputs
-g + gamma * m of the epoch's first scheduled batches; the probe is a pure
-measurement, so determinism is unaffected.
+1. every user computes its loss and local gradient, once;
+2. if a refresh is due, the distribution fits, exponent biases and codebooks
+   are rebuilt from this round's quantizer inputs g + gamma * m, read before
+   any memory moves (at the first round of each epoch by default, at every
+   round with ``rebuild="iteration"``);
+3. every user adds the decayed feedback memory to the same gradient,
+   quantizes to the low-bit floating-point grid, Huffman-encodes the symbols,
+   and "uplinks" the block; the server decodes every stream and applies the
+   descent step w <- w - (eta / U) * sum of decoded gradients, reducing in
+   ascending user order so runs are bitwise reproducible.
 
 RNG discipline: weight init and sharding draw from streams keyed on the run
 seed; user u's minibatch stream is keyed on seed XOR u. All streams are
@@ -73,41 +75,41 @@ class Model:
     def layer_param_count(self, layer_idx):
         return self.weights[layer_idx].size + self.biases[layer_idx].size
 
-    def forward(self, x):
-        """Class probabilities; softmax rows sum to 1."""
+    def _activations(self, x):
+        """Every layer's output, input first and logits last; the one forward pass."""
         a = np.asarray(x, dtype=np.float64)
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = a @ w + b
-            if not np.all(np.isfinite(z)):
-                raise ValueError(f"non-finite activations in layer {i}")
-            a = np.maximum(z, 0.0) if i < self.n_layers - 1 else z
-        shifted = a - a.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=1, keepdims=True)
-
-    def loss_and_grads(self, x, y):
-        """Mean cross-entropy over the batch and exact per-layer flat gradients."""
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y)
-        if y.size == 0:
-            raise ValueError("empty batch")
-        k = self.layer_sizes[-1]
-        if y.min() < 0 or y.max() >= k:
-            raise ValueError(f"label out of range [0, {k}): {int(y.max())}")
-        acts = [x]
-        a = x
+        acts = [a]
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             z = a @ w + b
             if not np.all(np.isfinite(z)):
                 raise ValueError(f"non-finite activations in layer {i}")
             a = np.maximum(z, 0.0) if i < self.n_layers - 1 else z
             acts.append(a)
-        logits = acts[-1]
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        logz = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-        logp = shifted - logz
-        n = y.size
-        loss = float(-logp[np.arange(n), y].mean())
+        return acts
+
+    def _log_probs(self, x, y):
+        """(activations, log-softmax, mean cross-entropy) of a labelled batch."""
+        y = np.asarray(y)
+        if y.size == 0:
+            raise ValueError("empty batch")
+        k = self.layer_sizes[-1]
+        if y.min() < 0 or y.max() >= k:
+            raise ValueError(f"label out of range [0, {k}): {int(y.max())}")
+        acts = self._activations(x)
+        shifted = acts[-1] - acts[-1].max(axis=1, keepdims=True)
+        logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        return acts, logp, float(-logp[np.arange(y.size), y].mean())
+
+    def forward(self, x):
+        """Class probabilities; softmax rows sum to 1."""
+        logits = self._activations(x)[-1]
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
+
+    def loss_and_grads(self, x, y):
+        """Mean cross-entropy over the batch and exact per-layer flat gradients."""
+        acts, logp, loss = self._log_probs(x, y)
+        n = logp.shape[0]
         delta = np.exp(logp)
         delta[np.arange(n), y] -= 1.0
         delta /= n
@@ -139,9 +141,8 @@ class Model:
     def dataset_loss(self, x, y, batch=1024):
         total = 0.0
         for i in range(0, len(y), batch):
-            xb, yb = x[i : i + batch], y[i : i + batch]
-            loss, _ = self.loss_and_grads(xb, yb)
-            total += loss * len(yb)
+            yb = y[i : i + batch]
+            total += self._log_probs(x[i : i + batch], yb)[2] * len(yb)
         return total / len(y)
 
 
@@ -184,6 +185,8 @@ class TrainConfig:
             raise ValueError(f"unknown quantizer {self.quantizer!r}")
         if self.bias_mode not in ("optimize", "polynomial", "fixed"):
             raise ValueError(f"unknown bias_mode {self.bias_mode!r}")
+        if self.bias_mode == "polynomial" and self.fmt.with_bias(0.0) != fpq.FP4:
+            raise ValueError("bias_mode 'polynomial' is fitted for FP4 [1,2,1] only")
         if self.rebuild not in ("epoch", "iteration"):
             raise ValueError(f"unknown rebuild cadence {self.rebuild!r}")
         if self.shard_mode not in ("partition", "replicate"):
@@ -294,15 +297,13 @@ class _Codec:
         self.codebooks = None
         self.gennorms = None
 
-    def refresh(self, model, states, probe_grads, epoch, metrics):
+    def refresh(self, states, grads, epoch, metrics):
+        """Refit every layer from this round's quantizer inputs g + gamma * m, pooled over users."""
         cfg = self.config
         formats, codebooks, gennorms = [], [], []
-        for layer in range(model.n_layers):
+        for layer in range(len(grads[0])):
             pooled = np.concatenate(
-                [
-                    feedback.corrected_input(states[(u, layer)], probe_grads[u][layer])
-                    for u in range(cfg.users)
-                ]
+                [feedback.corrected_input(states[(u, layer)], grads[u][layer]) for u in range(cfg.users)]
             )
             samples = _subsample(pooled, cfg.fit_sample_cap)
             reports, fallback = _fit_layer(samples, self.gennorms[layer] if self.gennorms else None)
@@ -328,25 +329,11 @@ class _Codec:
         self.formats, self.codebooks, self.gennorms = formats, codebooks, gennorms
 
 
-def _probe_grads(model, dataset, shards, all_batches, config):
-    """Gradients on each user's first scheduled batch; pure measurement."""
-    grads = []
-    for u in range(config.users):
-        idx = shards[u][all_batches[u][0]]
-        _, g = model.loss_and_grads(dataset.x_train[idx], dataset.y_train[idx])
-        grads.append(g)
-    return grads
-
-
-def run_round(model, dataset, shards, batches, states, codec, ledger, config, t, metrics, norm_acc):
-    """One synchronous PS round: gradients, EF, encode, uplink, decode, descent."""
+def run_round(model, losses, user_grads, states, codec, config, t, metrics, norm_acc):
+    """One synchronous PS round from every user's gradients: EF, encode, uplink, decode, descent."""
     bypass = config.quantizer == "identity"
     totals = [np.zeros(model.layer_param_count(l)) for l in range(model.n_layers)]
-    losses = []
-    for u in range(config.users):
-        idx = shards[u][batches[u]]
-        loss_u, grads = model.loss_and_grads(dataset.x_train[idx], dataset.y_train[idx])
-        losses.append(loss_u)
+    for u, grads in enumerate(user_grads):
         for layer, g in enumerate(grads):
             state = states[(u, layer)]
             v = feedback.corrected_input(state, g)
@@ -359,7 +346,7 @@ def run_round(model, dataset, shards, batches, states, codec, ledger, config, t,
                 q = fpq.quantize(v, fmt)
                 metrics.saturated += fpq.count_saturated(v, fmt)
                 block = entropy.encode(q, cb, user_id=u, iteration=t, layer_id=layer)
-                ledger.record_block(block)
+                metrics.ledger.record_block(block)
                 if config.keep_streams:
                     metrics.streams.append(block.to_bytes())
                 g_hat = fpq.dequantize(q)
@@ -427,29 +414,14 @@ def train(config, dataset):
             for u in range(config.users)
         ]
         rounds = min(len(b) for b in all_batches)
-        if not bypass and config.rebuild == "epoch":
-            codec.refresh(
-                model, states, _probe_grads(model, dataset, shards, all_batches, config), epoch, metrics
-            )
         norm_acc = [[0.0, 0.0, 0] for _ in range(model.n_layers)]
         epoch_losses = []
         for r in range(rounds):
-            if not bypass and config.rebuild == "iteration":
-                probe = [
-                    [
-                        model.loss_and_grads(
-                            dataset.x_train[shards[u][all_batches[u][r]]],
-                            dataset.y_train[shards[u][all_batches[u][r]]],
-                        )[1][layer]
-                        for layer in range(model.n_layers)
-                    ]
-                    for u in range(config.users)
-                ]
-                codec.refresh(model, states, probe, epoch, metrics)
-            batches = [all_batches[u][r] for u in range(config.users)]
-            loss = run_round(
-                model, dataset, shards, batches, states, codec, metrics.ledger, config, t, metrics, norm_acc
-            )
+            idxs = [shards[u][all_batches[u][r]] for u in range(config.users)]
+            losses, grads = zip(*(model.loss_and_grads(dataset.x_train[i], dataset.y_train[i]) for i in idxs))
+            if not bypass and (r == 0 or config.rebuild == "iteration"):
+                codec.refresh(states, grads, epoch, metrics)
+            loss = run_round(model, losses, grads, states, codec, config, t, metrics, norm_acc)
             epoch_losses.append(loss)
             metrics.round_losses.append(loss)
             t += 1

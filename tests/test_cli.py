@@ -113,7 +113,7 @@ class TestBiasSweep:
                  "--beta-step", "0.05", "--sigma", "2", "--out", str(out2)])
         rows2 = list(csv.DictReader(open(out2)))
         for r1, r2 in zip(rows, rows2):
-            assert float(r2["b_polynomial"]) == pytest.approx(float(r1["b_polynomial"]) / 2)
+            assert float(r2["b_polynomial"]) == pytest.approx(float(r1["b_polynomial"]) + 1)
 
     def test_invalid_range(self, tmp_path, capsys):
         code = run_cli(["bias-sweep", "--beta-min", "0", "--beta-max", "1",

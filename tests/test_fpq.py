@@ -157,7 +157,7 @@ class TestBias:
         # at beta = 1 the quartic's coefficients sum to 0.959; the closed-form
         # optimum for a unit-variance Laplace on FP4 is 0.96165
         assert bias_polynomial(1.0, 1.0) == pytest.approx(0.959, abs=1e-12)
-        assert bias_polynomial(1.0, 2.0) == pytest.approx(0.4795, abs=1e-12)
+        assert bias_polynomial(1.0, 2.0) == pytest.approx(1.959, abs=1e-12)
         b_closed = laplace_fp4_argmin()
         assert abs(bias_polynomial(1.0, 1.0) - b_closed) < 0.01
 
@@ -175,6 +175,13 @@ class TestBias:
             dist = unit_variance_gennorm(beta)
             best = bias_objective(optimize_bias(dist, FP4), dist, FP4)
             assert bias_objective(bias_polynomial(beta, 1.0), dist, FP4) <= 1.001 * best
+
+    def test_polynomial_tracks_optimum_off_unit_scale(self):
+        # levels scale as 2**bias, so the optimum moves by log2(sigma) with the scale
+        for sigma in (0.01, 2.0):
+            for beta in (0.5, 1.0, 1.4):
+                dist = unit_variance_gennorm(beta, sigma=sigma)
+                assert abs(bias_polynomial(beta, sigma) - optimize_bias(dist, FP4)) < 0.02
 
     def test_polynomial_validates(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from co3.datasets import shard_indices, synth_blobs
+from co3.feedback import replay_memory
+from co3.fpq import FP4, FpFormat
 from co3.trainer import (
     DivergenceError,
     Model,
@@ -17,6 +19,11 @@ from co3.trainer import (
 @pytest.fixture(scope="module")
 def blobs():
     return synth_blobs(600, 4, 8, seed=3, n_test=150, separation=2.5)
+
+
+@pytest.fixture(scope="module")
+def small():
+    return synth_blobs(200, 3, 6, seed=1, n_test=30)
 
 
 def small_model(seed=0, sizes=(6, 12, 8, 5)):
@@ -126,6 +133,11 @@ class TestSchedules:
 
 
 class TestTrainConfig:
+    def test_polynomial_bias_needs_fp4(self):
+        TrainConfig(bias_mode="polynomial", fmt=FP4.with_bias(1.5))
+        with pytest.raises(ValueError, match="FP4"):
+            TrainConfig(bias_mode="polynomial", fmt=FpFormat(mant_bits=4, exp_bits=3))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(gamma=1.5)
@@ -237,3 +249,32 @@ class TestTrain:
         assert rounds > 0
         assert len({e for e, *_ in metrics.fit_rows}) == 1
         assert len(metrics.fit_rows) == 3 * 3 * rounds  # families x layers x rounds
+
+    @pytest.mark.parametrize("rebuild", ["epoch", "iteration"])
+    def test_refresh_fits_the_rounds_own_quantizer_input(self, small, rebuild):
+        # the fit sample is g + gamma * m of the refreshing round k, before its update
+        cfg = TrainConfig(
+            epochs=2, seed=5, batch_size=32, rebuild=rebuild, keep_fit_samples=True, track_history=True
+        )
+        metrics, model = train(cfg, small)
+        per_epoch = metrics.rounds // cfg.epochs
+        assert len(metrics.fit_samples) == cfg.epochs * model.n_layers
+        for (epoch, layer), samples in metrics.fit_samples.items():
+            k = (epoch - 1) * per_epoch if rebuild == "epoch" else epoch * per_epoch - 1
+            hist = metrics.history[(0, layer)]
+            memory = replay_memory(cfg.gamma, hist[:k]) if k else np.zeros_like(samples)
+            assert samples.tobytes() == (cfg.gamma * memory + hist[k][0]).tobytes()
+
+    @pytest.mark.parametrize("rebuild", ["epoch", "iteration"])
+    def test_one_gradient_pass_per_user_and_round(self, small, monkeypatch, rebuild):
+        calls = []
+        original = Model.loss_and_grads
+
+        def counting(model, x, y):
+            calls.append(len(y))
+            return original(model, x, y)
+
+        monkeypatch.setattr(Model, "loss_and_grads", counting)
+        metrics, _ = train(TrainConfig(epochs=2, users=2, seed=1, batch_size=32, rebuild=rebuild), small)
+        assert metrics.rounds > 0
+        assert len(calls) == metrics.rounds * 2

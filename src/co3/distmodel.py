@@ -9,7 +9,10 @@ The GenNorm density is ``beta / (2 alpha Gamma(1/beta)) * exp(-(|x-mu|/alpha)^be
 ``beta=2`` is Normal (variance ``alpha^2/2``), ``beta=1`` is Laplace with
 diversity ``alpha``. The CDF needs the regularized lower incomplete gamma
 function, implemented here with the classic series / continued-fraction split
-at ``x = s + 1`` so the core library stays numpy-only.
+at ``x = s + 1`` so the core library stays numpy-only. The quantiles are in
+closed form, ``mu +- alpha * Pinv(1/beta, |2q-1|)^(1/beta)``, with ``P``
+inverted by Halley steps from the Numerical Recipes ``invgammp`` starting
+point (DiDonato & Morris, ACM TOMS 12(4), 1986).
 """
 
 import math
@@ -131,6 +134,19 @@ def _gamma_cf(s, x, max_iter=600):
     return h * np.exp(-x + s * np.log(x) - math.lgamma(s))
 
 
+def _gamma_pq(s, x):
+    # (P(s, x), Q(s, x)) for 1-D x >= 0; the side computed directly keeps
+    # full relative precision, the other is its complement
+    p = np.empty_like(x)
+    q = np.empty_like(x)
+    small = x < s + 1.0
+    p[small] = _gamma_series(s, x[small])
+    q[small] = 1.0 - p[small]
+    q[~small] = _gamma_cf(s, x[~small])
+    p[~small] = 1.0 - q[~small]
+    return p, q
+
+
 def lower_gamma_reg(s, x):
     """Regularized lower incomplete gamma P(s, x) for scalar s > 0, array x >= 0."""
     if not s > 0:
@@ -140,11 +156,54 @@ def lower_gamma_reg(s, x):
     x = np.atleast_1d(x)
     if np.any(x < 0):
         raise ValueError("x must be non-negative")
-    out = np.empty_like(x)
-    small = x < s + 1.0
-    out[small] = _gamma_series(s, x[small])
-    out[~small] = 1.0 - _gamma_cf(s, x[~small])
+    out = _gamma_pq(s, x)[0]
     return float(out[0]) if scalar else out
+
+
+_INV_RTOL = 1e-12
+_INV_MAX_STEPS = 32
+
+
+def _lower_gamma_inv(s, p, pc):
+    """x with P(s, x) = p, given p and its complement pc = 1 - p as 1-D arrays.
+
+    Each entry is solved on the side of the smaller of p and pc (P below 1/2,
+    Q above), so both exactly-known tails keep full relative precision.
+    Starting point from Numerical Recipes ``invgammp`` (Wilson-Hilferty for
+    s > 1, a power-law / exponential split for s <= 1), then Halley steps on
+    the not-yet-converged entries until the step is below 1e-12 relative.
+    ``p = 0`` returns 0.
+    """
+    x = np.zeros_like(p)
+    active = np.flatnonzero(p > 0)
+    pa, pca = p[active], pc[active]
+    lo = pa < 0.5
+    lg = math.lgamma(s)
+    if s > 1.0:
+        t = np.sqrt(-2.0 * np.log(np.where(lo, pa, pca)))
+        z = (2.30753 + t * 0.27061) / (1.0 + t * (0.99229 + t * 0.04481)) - t
+        z = np.where(lo, -z, z)
+        xa = np.maximum(1e-3, s * (1.0 - 1.0 / (9.0 * s) - z / (3.0 * math.sqrt(s))) ** 3)
+    else:
+        t = 1.0 - s * (0.253 + s * 0.12)
+        xa = np.where(pa < t, (pa / t) ** (1.0 / s), 1.0 - np.log(pca / (1.0 - t)))
+    for _ in range(_INV_MAX_STEPS):
+        if not active.size:
+            break
+        gp, gq = _gamma_pq(s, xa)
+        err = np.where(lo, gp - pa, pca - gq)
+        dens = np.exp((s - 1.0) * np.log(xa) - xa - lg)
+        u = err / dens
+        step = u / (1.0 - 0.5 * np.minimum(1.0, (s - 1.0) * (u / xa) - u))
+        new = xa - step
+        new = np.where(new > 0, new, 0.5 * xa)
+        done = np.abs(step) < _INV_RTOL * new
+        x[active[done]] = new[done]
+        keep = ~done
+        active, xa, pa, pca, lo = active[keep], new[keep], pa[keep], pca[keep], lo[keep]
+    if active.size:
+        raise FloatingPointError("incomplete gamma inverse did not converge")
+    return x
 
 
 # ----------------------------------------------------------------------
@@ -172,35 +231,31 @@ def gennorm_cdf(x, params):
     return float(out[0]) if scalar else out
 
 
-def gennorm_ppf(q, params, rtol=1e-10, max_iter=200):
-    """Quantiles by bisection of the CDF to the given relative interval width."""
+def gennorm_ppf(q, params):
+    """Quantiles in closed form: ``mu +- alpha * Pinv(1/beta, |2q-1|)^(1/beta)``.
+
+    ``Pinv`` inverts the regularized lower incomplete gamma function by
+    Halley steps (``_lower_gamma_inv``); the tail mass ``2 min(q, 1-q)`` is
+    passed alongside ``|2q-1|`` so far-tail quantiles keep full relative
+    precision. Near the centre of flat shapes (large beta), where ``Pinv``
+    would underflow, ``Pinv^(1/beta)`` is its leading term
+    ``|2q-1| Gamma(1 + 1/beta)``. ``q = 0.5`` gives ``mu`` exactly.
+    """
     q = np.asarray(q, dtype=np.float64)
-    scalar = q.ndim == 0
-    q = np.atleast_1d(q)
-    if np.any((q <= 0) | (q >= 1)):
+    if not np.all((q > 0) & (q < 1)):
         raise ValueError("quantile levels must lie strictly inside (0, 1)")
-    w = params.alpha
-    for _ in range(200):
-        if (
-            gennorm_cdf(params.mu + w, params) >= q.max()
-            and gennorm_cdf(params.mu - w, params) <= q.min()
-        ):
-            break
-        w *= 2.0
-    else:
-        raise FloatingPointError("failed to bracket the requested quantiles")
-    lo = np.full_like(q, params.mu - w)
-    hi = np.full_like(q, params.mu + w)
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        below = gennorm_cdf(mid, params) < q
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-        tol = rtol * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
-        if np.all(hi - lo <= tol):
-            break
-    out = 0.5 * (lo + hi)
-    return float(out[0]) if scalar else out
+    flat = q.ravel()
+    s = 1.0 / params.beta
+    p = np.abs(2.0 * flat - 1.0)
+    # below x = 1e-200, P(s, x) = x^s / Gamma(s + 1) to double precision; there
+    # x^s = p Gamma(s + 1) is taken as is, since x itself may underflow
+    head = p < math.exp(s * math.log(1e-200) - math.lgamma(s + 1.0))
+    z = _lower_gamma_inv(s, np.where(head, 0.0, p), 2.0 * np.minimum(flat, 1.0 - flat))
+    dev = z**s
+    if head.any():
+        dev[head] = p[head] * math.gamma(s + 1.0)
+    out = params.mu + np.sign(flat - 0.5) * params.alpha * dev
+    return float(out[0]) if q.ndim == 0 else out.reshape(q.shape)
 
 
 def sample_gennorm(params, size, rng):

@@ -252,14 +252,20 @@ def decode(block, codebook, symbol_count=None):
         symbol_count = block.symbol_count
     bits = np.unpackbits(np.frombuffer(block.payload, dtype=np.uint8))
     nbits = bits.size
+    # every codeword is at least 1 bit; check before allocating the output
+    if symbol_count > nbits:
+        raise TruncationError(f"{symbol_count} symbols cannot fit in {nbits} payload bits")
     width = codebook.max_length
     out = np.empty(symbol_count, dtype=np.int32)
     pos = 0
     if width <= _TABLE_MAX_LEN:
         syms, lens = _decode_table(codebook)
         padded = np.concatenate((bits, np.zeros(width, dtype=np.uint8)))
-        weights = (1 << np.arange(width - 1, -1, -1)).astype(np.int64)
-        windows = np.lib.stride_tricks.sliding_window_view(padded, width) @ weights
+        # windows[p] = the `width` bits starting at p, MSB first
+        windows = np.zeros(nbits, dtype=np.int32)
+        for k in range(width):
+            windows <<= 1
+            windows |= padded[k : k + nbits]
         for j in range(symbol_count):
             if pos >= nbits:
                 raise TruncationError(

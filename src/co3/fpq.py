@@ -49,6 +49,16 @@ class FpFormat:
             raise ValueError("formats wider than 16 bits total are not supported")
         if not math.isfinite(self.bias):
             raise ValueError("bias must be finite")
+        # the top level as _grid computes it: (2 - 2^-m) * 2^(2^e - 2) * 2^bias
+        try:
+            top = math.ldexp(2.0 - 2.0**-self.mant_bits, 2**self.exp_bits - 2) * 2.0**self.bias
+        except OverflowError:
+            top = math.inf
+        if not math.isfinite(top):
+            raise ValueError(
+                f"the top level of [1,{self.mant_bits},{self.exp_bits}] with bias "
+                f"{self.bias} overflows float64"
+            )
 
     @property
     def total_bits(self):

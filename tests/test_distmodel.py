@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import scipy.integrate
 import scipy.special
 import scipy.stats
 
+from co3 import distmodel
 from co3.distmodel import (
     DegenerateSampleError,
     GenNormParams,
@@ -89,6 +91,65 @@ class TestDensity:
     def test_ppf_rejects_boundary_quantiles(self):
         with pytest.raises(ValueError):
             gennorm_ppf(np.array([0.0, 0.5]), unit_variance(2.0))
+
+    # far tails on both sides, the centre and a linear middle
+    PPF_BETAS = (0.1, 0.2, 0.3, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0)
+    PPF_Q = np.concatenate(
+        (
+            np.geomspace(1e-12, 0.5, 120),
+            1 - np.geomspace(1e-12, 0.5, 120),
+            np.linspace(0.01, 0.99, 99),
+        )
+    )
+
+    @pytest.mark.parametrize("beta", PPF_BETAS)
+    def test_ppf_matches_scipy(self, beta):
+        d = GenNormParams(beta, 0.3, 1.7)
+        ours = gennorm_ppf(self.PPF_Q, d)
+        ref = scipy.stats.gennorm.ppf(self.PPF_Q, beta, loc=d.mu, scale=d.alpha)
+        away = np.abs(ref - d.mu) > 1e-6 * d.alpha
+        assert away.sum() > 300
+        rel = np.abs(ours[away] - ref[away]) / np.abs(ref[away] - d.mu)
+        assert np.max(rel) <= 1e-9
+
+    @pytest.mark.parametrize("beta", PPF_BETAS)
+    def test_cdf_ppf_identity_to_the_far_tails(self, beta):
+        d = unit_variance(beta, mu=-0.4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = gennorm_cdf(gennorm_ppf(self.PPF_Q, d), d)
+        assert np.max(np.abs(back - self.PPF_Q)) <= 1e-12
+
+    def test_ppf_centre_is_exactly_mu(self):
+        d = GenNormParams(1.3, 0.7, 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            centre = gennorm_ppf(0.5, d)
+            grid = gennorm_ppf(np.array([[0.25, 0.5], [0.5, 0.75]]), d)
+        assert type(centre) is float and centre == d.mu
+        assert grid.shape == (2, 2) and grid[0, 1] == grid[1, 0] == d.mu
+
+    @pytest.mark.parametrize("beta", [20.0, 100.0])
+    def test_ppf_near_the_centre_of_flat_shapes(self, beta):
+        # Pinv(1/beta, |2q-1|) underflows here (scipy returns 0 for beta = 100),
+        # while |x-mu|^beta < 1e-50, so P(s, |x|^beta) = |x| / Gamma(1 + s)
+        # holds to double precision and gives the reference
+        d = GenNormParams(beta, 0.0, 1.0)
+        q = 0.5 + np.concatenate((-np.geomspace(1e-15, 1e-3, 13), np.geomspace(1e-15, 1e-3, 13)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ours = gennorm_ppf(q, d)
+        ref = (2.0 * q - 1.0) * math.gamma(1.0 + 1.0 / beta)
+        assert np.max(np.abs(ours - ref) / np.abs(ref)) <= 1e-12
+
+    def test_ppf_rejects_nan(self):
+        with pytest.raises(ValueError):
+            gennorm_ppf(np.array([0.3, np.nan]), unit_variance(2.0))
+
+    def test_gamma_inverse_raises_when_steps_run_out(self, monkeypatch):
+        monkeypatch.setattr(distmodel, "_INV_MAX_STEPS", 1)
+        with pytest.raises(FloatingPointError):
+            gennorm_ppf(np.array([0.1, 0.3]), unit_variance(1.5))
 
     def test_params_validation(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import itertools
 import struct
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -176,6 +177,26 @@ class TestEncodeDecode:
         with pytest.raises(TruncationError):
             decode(block, cb, 10)
 
+    def test_table_decode_memory_per_payload_bit(self):
+        # 63 levels, a 14-bit longest code: the table path at its widest use
+        fmt = FpFormat(mant_bits=3, exp_bits=2)
+        levels = np.arange(fmt.level_count)
+        p = np.exp(-np.abs(levels - 31) / 4.0)
+        p /= p.sum()
+        cb = build_codebook(p)
+        assert cb.max_length == 14
+        sym = np.random.default_rng(4).choice(fmt.level_count, size=230_000, p=p).astype(np.int32)
+        block = encode(QuantizedTensor(sym, fmt), cb)
+        assert block.payload_bits >= 1_000_000
+        tracemalloc.start()
+        try:
+            out = decode(block, cb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(out, sym)
+        assert peak < 16 * block.payload_bits
+
     def test_trailing_garbage_detected(self):
         cb = build_codebook([0.5, 0.25, 0.125, 0.125])
         sym = np.array([0, 1, 0], dtype=np.int32)
@@ -244,6 +265,15 @@ class TestWireFormat:
             EncodedBlock.from_bytes(bytes(raw))
         with pytest.raises(TruncationError):
             EncodedBlock.from_bytes(block.to_bytes()[:10])
+
+    def test_forged_symbol_count_fails_before_allocating(self):
+        cb = build_codebook(np.full(15, 1 / 15))
+        raw = bytearray(encode(quantize(np.linspace(-1, 1, 40), FP4), cb).to_bytes())
+        struct.pack_into("<Q", raw, 12, 2**40)  # 4 TiB of int32 output
+        block = EncodedBlock.from_bytes(bytes(raw))
+        assert block.symbol_count == 2**40
+        with pytest.raises(TruncationError):
+            decode_block(block)
 
 
 class TestLedger:

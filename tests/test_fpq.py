@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +86,18 @@ class TestFormat:
             FpFormat(mant_bits=2, exp_bits=1, sign_bits=2)
         with pytest.raises(ValueError):
             FpFormat(mant_bits=2, exp_bits=1, bias=float("nan"))
+
+    def test_formats_with_a_non_finite_top_level_rejected(self):
+        with pytest.raises(ValueError, match="overflows"):
+            FpFormat(mant_bits=0, exp_bits=11)
+        with pytest.raises(ValueError, match="overflows"):
+            FpFormat(mant_bits=0, exp_bits=10, bias=2.0)
+        with pytest.raises(ValueError, match="overflows"):
+            FP4.with_bias(1023.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fmt in (FpFormat(mant_bits=0, exp_bits=10, bias=1.0), FP4.with_bias(1023.0)):
+                assert np.all(np.isfinite(enumerate_levels(fmt)))
 
 
 class TestQuantize:

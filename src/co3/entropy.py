@@ -12,6 +12,16 @@ All multi-byte integers are little-endian; codewords are packed MSB-first and
 the final byte is zero-padded. Codebooks are canonical (derived from lengths
 and level order alone) with deterministic tie-breaking, so encoder and decoder
 derive identical codes independently.
+
+Decoding is one vectorized path for every code length up to 63 bits. Canonical
+codewords left-justified to the longest length ascend in (length, level) order,
+so comparing each payload bit's window with each length's first codeword (a
+searchsorted) gives the length and level of a codeword starting there. Pointer
+doubling composes lengths into jumps over 4 codewords; a Python walk visits
+every 4th start and strided gathers fill in the rest. Checked: no more symbols
+than payload bits (before allocating), none starting or ending past the payload,
+and exactly the declared pad bits after the last, all zero. Chunks of 8192
+windows and uint8 per-bit arrays keep large blocks under 16 bytes per bit.
 """
 
 import heapq
@@ -26,7 +36,9 @@ from .fpq import FpFormat, QuantizedTensor
 MAGIC = b"CO3"
 VERSION = 1
 _MAX_CODE_LEN = 63
-_TABLE_MAX_LEN = 16  # full lookup-table decode up to this code length
+_DOUBLINGS = 2  # decode jumps 2**2 codewords at a time; 4 * 63 bits fit in uint8
+_CHUNK = 1 << 13  # bit positions per vectorized decode step; bounds the temporaries
+_BIT = np.arange(64, dtype=np.uint64)  # bit offset of a window within its word
 
 _HEADER = struct.Struct("<3sBHIHQBBBfH")  # through level_count
 
@@ -99,25 +111,15 @@ def build_codebook(probs):
     n = p.size
     heap = [(float(p[i]), i) for i in range(n)]
     heapq.heapify(heap)
-    children = {}
-    next_node = n
-    while len(heap) > 1:
-        p1, n1 = heapq.heappop(heap)
-        p2, n2 = heapq.heappop(heap)
-        children[next_node] = (n1, n2)
-        heapq.heappush(heap, (p1 + p2, next_node))
-        next_node += 1
-    lengths = [0] * n
-    stack = [(heap[0][1], 0)]
-    while stack:
-        node, depth = stack.pop()
-        if node < n:
-            lengths[node] = depth
-        else:
-            left, right = children[node]
-            stack.append((left, depth + 1))
-            stack.append((right, depth + 1))
-    return HuffmanCodebook.from_lengths(lengths)
+    parent = [0] * (2 * n - 1)  # node 2n-2 is the root
+    for node in range(n, 2 * n - 1):
+        (p1, n1), (p2, n2) = heapq.heappop(heap), heapq.heappop(heap)
+        parent[n1] = parent[n2] = node
+        heapq.heappush(heap, (p1 + p2, node))
+    depth = [0] * (2 * n - 1)
+    for node in range(2 * n - 3, -1, -1):  # every parent is numbered above its children
+        depth[node] = depth[parent[node]] + 1
+    return HuffmanCodebook.from_lengths(depth[:n])
 
 
 def expected_length(codebook, probs):
@@ -193,7 +195,10 @@ class EncodedBlock:
         payload_bits = 8 * len(payload) - pad
         if payload_bits < 0:
             raise CorruptionError("pad bits exceed the payload")
-        fmt = FpFormat(mant_bits=mant, exp_bits=exp, bias=bias, sign_bits=sgn)
+        try:
+            fmt = FpFormat(mant_bits=mant, exp_bits=exp, bias=bias, sign_bits=sgn)
+        except ValueError as err:
+            raise CorruptionError(f"invalid format in the header: {err}") from err
         if levels != fmt.level_count:
             raise CorruptionError(
                 f"header says {levels} levels but the format has {fmt.level_count}"
@@ -234,77 +239,71 @@ def encode(q, codebook, *, user_id=0, iteration=0, layer_id=0):
     )
 
 
-def _decode_table(codebook):
-    width = codebook.max_length
-    syms = np.zeros(1 << width, dtype=np.int32)
-    lens = np.zeros(1 << width, dtype=np.int32)
-    for i, (code, ln) in enumerate(zip(codebook.codewords, codebook.code_lengths)):
-        base = code << (width - ln)
-        span = 1 << (width - ln)
-        syms[base : base + span] = i
-        lens[base : base + span] = ln
-    return syms, lens
-
-
 def decode(block, codebook, symbol_count=None):
     """Recover the exact symbol sequence; validates consumption and padding."""
-    if symbol_count is None:
-        symbol_count = block.symbol_count
-    bits = np.unpackbits(np.frombuffer(block.payload, dtype=np.uint8))
-    nbits = bits.size
+    n = block.symbol_count if symbol_count is None else symbol_count
+    nbits = 8 * len(block.payload)
     # every codeword is at least 1 bit; check before allocating the output
-    if symbol_count > nbits:
-        raise TruncationError(f"{symbol_count} symbols cannot fit in {nbits} payload bits")
-    width = codebook.max_length
-    out = np.empty(symbol_count, dtype=np.int32)
-    pos = 0
-    if width <= _TABLE_MAX_LEN:
-        syms, lens = _decode_table(codebook)
-        padded = np.concatenate((bits, np.zeros(width, dtype=np.uint8)))
-        # windows[p] = the `width` bits starting at p, MSB first
-        windows = np.zeros(nbits, dtype=np.int32)
-        for k in range(width):
-            windows <<= 1
-            windows |= padded[k : k + nbits]
-        for j in range(symbol_count):
-            if pos >= nbits:
-                raise TruncationError(
-                    f"bitstream exhausted after {j} of {symbol_count} symbols"
-                )
-            w = windows[pos]
-            out[j] = syms[w]
-            pos += int(lens[w])
-    else:
-        by_length = {}
-        for i, (code, ln) in enumerate(zip(codebook.codewords, codebook.code_lengths)):
-            by_length.setdefault(ln, {})[code] = i
-        code = 0
-        ln = 0
-        j = 0
-        while j < symbol_count:
-            if pos >= nbits:
-                raise TruncationError(
-                    f"bitstream exhausted after {j} of {symbol_count} symbols"
-                )
-            code = (code << 1) | int(bits[pos])
-            pos += 1
-            ln += 1
-            sym = by_length.get(ln, {}).get(code)
-            if sym is not None:
-                out[j] = sym
-                j += 1
-                code = 0
-                ln = 0
-            elif ln > width:
-                raise CorruptionError("no codeword matches the bit pattern")
-    if pos > nbits:
-        raise TruncationError("final symbol ran past the end of the payload")
-    trailing = nbits - pos
+    if n > nbits:
+        raise TruncationError(f"{n} symbols cannot fit in {nbits} payload bits")
+    out = np.empty(n, dtype=np.int32)
+    # canonical order; a run of one code length starts at each rank in `first`
+    order = np.argsort(codebook.code_lengths, kind="stable")
+    lens = np.asarray(codebook.code_lengths, dtype=np.uint64)[order]
+    codes = np.asarray(codebook.codewords, dtype=np.uint64)[order]
+    first = np.flatnonzero(np.diff(lens, prepend=0))
+    shifts = codebook.max_length - lens[first]
+    limits = codes[first[1:]] << shifts[1:]  # left-justified run starts
+    offsets = codes[first] - first.astype(np.uint64)
+    run_lens = lens[first].astype(np.uint8)
+    pad = bytes(-len(block.payload) % 8 + 16)  # so that every window has a next word
+    words = np.frombuffer(block.payload + pad, dtype=">u8").astype(np.uint64)
+    to_width = np.uint64(64 - codebook.max_length)
+    # d[p], sym[p]: length and level of a codeword starting at bit p; d is 0
+    # from nbits on, so that every walk which leaves the payload stops there
+    d = np.zeros(nbits + 64, dtype=np.uint8)
+    sym = np.zeros(d.size, dtype=np.min_scalar_type(codebook.level_count - 1))
+    for a in range(0, nbits, _CHUNK):
+        w = words[a >> 6 : (a + _CHUNK >> 6) + 1, None]
+        win = (((w[:-1] << _BIT) | (w[1:] >> (64 - _BIT))) >> to_width).ravel()[: nbits - a]
+        # the window's run is the number of run starts it reaches
+        run = np.zeros(win.size, dtype=np.uint8)
+        for limit in limits:
+            run += win >= limit
+        run = run.astype(np.intp)
+        d[a : a + win.size] = run_lens[run]
+        sym[a : a + win.size] = order[((win >> shifts[run]) - offsets[run]).view(np.int64)]
+    # jump[p]: bits spanned by the 2**k codewords from p, by pointer doubling
+    jump = d
+    for _ in range(_DOUBLINGS):
+        doubled = np.zeros_like(d)
+        for a in range(0, nbits, _CHUNK):
+            seg = jump[a : a + _CHUNK]
+            doubled[a : a + seg.size] = seg + jump[np.arange(a, a + seg.size) + seg]
+        jump = doubled
+    # every 2**k-th start by a walk in Python, the starts between by strided steps
+    step, top = 1 << _DOUBLINGS, memoryview(jump)
+    starts = np.empty(-(-n // step), dtype=np.int64)
+    walk, p = memoryview(starts), 0
+    for i in range(starts.size):
+        walk[i] = p
+        p += top[p]
+    s, decoded, end = starts, 0, 0
+    for j in range(min(step, n)):
+        s = s[: -(-(n - j) // step)]
+        out[j::step] = sym[s]
+        decoded += np.count_nonzero(s < nbits)
+        s = s + d[s]
+        if j == (n - 1) % step:
+            end = int(s[-1])
+    if decoded < n or end > nbits:
+        raise TruncationError(f"{n} symbols run past the {nbits}-bit payload; {decoded} start in it")
+    trailing = nbits - end
     if trailing != block.pad_bits:
         raise CorruptionError(
             f"{trailing} trailing bits but the header declares {block.pad_bits} pad bits"
         )
-    if trailing and bits[pos:].any():
+    if int.from_bytes(block.payload[end >> 3 :], "big") % (1 << trailing):  # pad = its low bits
         raise CorruptionError("non-zero pad bits")
     return out
 

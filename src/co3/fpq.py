@@ -59,6 +59,15 @@ class FpFormat:
                 f"the top level of [1,{self.mant_bits},{self.exp_bits}] with bias "
                 f"{self.bias} overflows float64"
             )
+        # levels can round to the same value only in float64's subnormal range,
+        # so only a grid whose smallest positive level lies there is compared
+        levels = _grid(self)[0]
+        subnormal = levels[levels.size // 2 + 1] < np.finfo(np.float64).tiny
+        if subnormal and not np.all(levels[1:] > levels[:-1]):
+            raise ValueError(
+                f"the levels of [1,{self.mant_bits},{self.exp_bits}] with bias "
+                f"{self.bias} underflow float64: they do not ascend strictly"
+            )
 
     @property
     def total_bits(self):
@@ -71,9 +80,6 @@ class FpFormat:
 
     def with_bias(self, bias):
         return replace(self, bias=float(bias))
-
-
-FP4 = FpFormat(mant_bits=2, exp_bits=1)
 
 
 @dataclass(frozen=True)
@@ -105,6 +111,9 @@ def _grid(fmt):
     levels.setflags(write=False)
     tie.setflags(write=False)
     return levels, tie
+
+
+FP4 = FpFormat(mant_bits=2, exp_bits=1)
 
 
 def enumerate_levels(fmt):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import struct
 import threading
@@ -5,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from co3.entropy import (
     CorruptionError,
@@ -177,6 +180,14 @@ class TestEncodeDecode:
         with pytest.raises(TruncationError):
             decode(block, cb, 10)
 
+    def test_exhaustion_at_the_end_of_the_payload_detected(self):
+        # four 2-bit codewords fill the byte, so a fifth symbol finds no bits left
+        cb = build_codebook([0.25] * 4)
+        block = encode(QuantizedTensor(np.arange(4, dtype=np.int32), FP4), cb)
+        assert block.pad_bits == 0
+        with pytest.raises(TruncationError, match="5 symbols run past the 8-bit payload; 4 start in it"):
+            decode(block, cb, 5)
+
     def test_table_decode_memory_per_payload_bit(self):
         # 63 levels, a 14-bit longest code: the table path at its widest use
         fmt = FpFormat(mant_bits=3, exp_bits=2)
@@ -186,6 +197,26 @@ class TestEncodeDecode:
         cb = build_codebook(p)
         assert cb.max_length == 14
         sym = np.random.default_rng(4).choice(fmt.level_count, size=230_000, p=p).astype(np.int32)
+        block = encode(QuantizedTensor(sym, fmt), cb)
+        assert block.payload_bits >= 1_000_000
+        tracemalloc.start()
+        try:
+            out = decode(block, cb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(out, sym)
+        assert peak < 16 * block.payload_bits
+
+    def test_long_code_decode_memory_per_payload_bit(self):
+        # 255 levels, a 46-bit longest code: the same bound as for short codes
+        fmt = FpFormat(mant_bits=4, exp_bits=3)
+        levels = np.arange(fmt.level_count)
+        p = np.exp(-np.abs(levels - 127) / 4.0)
+        p /= p.sum()
+        cb = build_codebook(p)
+        assert cb.max_length == 46
+        sym = np.random.default_rng(5).choice(fmt.level_count, size=230_000, p=p).astype(np.int32)
         block = encode(QuantizedTensor(sym, fmt), cb)
         assert block.payload_bits >= 1_000_000
         tracemalloc.start()
@@ -274,6 +305,115 @@ class TestWireFormat:
         assert block.symbol_count == 2**40
         with pytest.raises(TruncationError):
             decode_block(block)
+
+    @staticmethod
+    def _forged(offset, fmt, value):
+        cb = build_codebook(np.full(15, 1 / 15))
+        raw = bytearray(encode(quantize(np.linspace(-1, 1, 40), FP4), cb).to_bytes())
+        struct.pack_into(fmt, raw, offset, value)
+        return bytes(raw)
+
+    def test_forged_underflowing_bias_rejected(self):
+        # at bias -1100 every FP4 level is +-0, so any payload would decode to zeros
+        with pytest.raises(CorruptionError, match="underflow"):
+            EncodedBlock.from_bytes(self._forged(23, "<f", -1100.0))
+
+    @pytest.mark.parametrize(
+        "offset, fmt, value",
+        [
+            (23, "<f", float("nan")),
+            (23, "<f", float("inf")),
+            (23, "<f", float("-inf")),
+            (23, "<f", 1023.5),  # the top level overflows float64
+            (20, "<B", 2),  # sign bits
+            (21, "<B", 15),  # mant bits: 1 + 15 + 1 bits in all
+            (22, "<B", 0),  # exp bits
+        ],
+    )
+    def test_forged_header_format_raises_corruption(self, offset, fmt, value):
+        with pytest.raises(CorruptionError, match="invalid format"):
+            EncodedBlock.from_bytes(self._forged(offset, fmt, value))
+
+
+def oracle_decode(payload, pad_bits, count, lengths, codewords):
+    """Reference prefix decoder: reads one bit at a time; None where the block is invalid."""
+    bits = "".join(f"{byte:08b}" for byte in payload)
+    table = {(ln, code): level for level, (ln, code) in enumerate(zip(lengths, codewords))}
+    out, pos = [], 0
+    while len(out) < count:
+        ln, code = 0, 0
+        while (ln, code) not in table:
+            if pos == len(bits):
+                return None
+            ln, code, pos = ln + 1, 2 * code + int(bits[pos]), pos + 1
+        out.append(table[ln, code])
+    tail = bits[pos:]
+    return out if len(tail) == pad_bits and "1" not in tail else None
+
+
+@st.composite
+def canonical_codebooks(draw):
+    """Kraft-complete lengths: a chain down to the longest code, then random leaf splits."""
+    longest = draw(st.integers(1, 63))
+    lengths = list(range(1, longest)) + [longest, longest]
+    for pick in draw(st.lists(st.integers(0, 1000), max_size=12)):
+        i = pick % len(lengths)
+        if lengths[i] < longest:
+            lengths[i : i + 1] = [lengths[i] + 1] * 2
+    return HuffmanCodebook.from_lengths(draw(st.permutations(lengths)))
+
+
+MUTATIONS = ("truncate", "append", "flip", "pad", "count")
+
+
+@st.composite
+def mutated_blocks(draw, codebooks=canonical_codebooks()):
+    """An encoded block with any combination of the mutations applied."""
+    cb = draw(codebooks)
+    sym = draw(st.lists(st.integers(0, cb.level_count - 1), max_size=40))
+    block = encode(QuantizedTensor(np.array(sym, dtype=np.int32), FP4), cb)
+    payload, fields = bytearray(block.payload), {}
+    for kind in draw(st.lists(st.sampled_from(MUTATIONS), unique=True)):
+        if kind == "truncate":
+            del payload[draw(st.integers(0, len(payload))) :]
+        elif kind == "append":
+            payload.append(draw(st.integers(0, 255)))
+        elif kind == "flip" and payload:
+            bit = draw(st.integers(0, 8 * len(payload) - 1))
+            payload[bit // 8] ^= 0x80 >> bit % 8
+        elif kind == "pad":
+            fields["pad_bits"] = draw(st.integers(0, 8))
+        elif kind == "count":
+            fields["symbol_count"] = draw(st.integers(0, len(sym) + 4) | st.integers(0, 2**64 - 1))
+    return cb, dataclasses.replace(block, payload=bytes(payload), **fields)
+
+
+def assert_matches_oracle(cb, block):
+    expected = oracle_decode(
+        block.payload, block.pad_bits, block.symbol_count, cb.code_lengths, cb.codewords
+    )
+    if expected is None:
+        with pytest.raises((TruncationError, CorruptionError)):
+            decode(block, cb)
+    else:
+        assert decode(block, cb).tolist() == expected
+
+
+ORACLE_SETTINGS = settings(
+    deadline=None, derandomize=True, database=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+class TestDecodeOracle:
+    @settings(ORACLE_SETTINGS, max_examples=1000)
+    @given(mutated_blocks())
+    def test_decode_agrees_with_bitwise_oracle(self, case):
+        assert_matches_oracle(*case)
+
+    @settings(ORACLE_SETTINGS, max_examples=100)
+    @given(mutated_blocks(st.permutations([*range(1, 64), 63]).map(HuffmanCodebook.from_lengths)))
+    def test_decode_agrees_with_bitwise_oracle_on_63_bit_codes(self, case):
+        assert_matches_oracle(*case)
 
 
 class TestLedger:

@@ -99,6 +99,16 @@ class TestFormat:
             for fmt in (FpFormat(mant_bits=0, exp_bits=10, bias=1.0), FP4.with_bias(1023.0)):
                 assert np.all(np.isfinite(enumerate_levels(fmt)))
 
+    def test_formats_whose_levels_underflow_rejected(self):
+        # 2^-1100 is 0.0 in float64, so every level would be +-0
+        with pytest.raises(ValueError, match="underflow"):
+            FpFormat(mant_bits=2, exp_bits=1, bias=-1100.0)
+        # the two smallest non-zero magnitudes, 2^-1076 and 2^-1075, round to 0
+        with pytest.raises(ValueError, match="underflow"):
+            FP4.with_bias(-1074.0)
+        levels = enumerate_levels(FP4.with_bias(-1070.0))
+        assert np.all(np.diff(levels) > 0) and levels[-1] > 0
+
 
 class TestQuantize:
     def test_nearest_level_examples(self):

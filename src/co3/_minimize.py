@@ -29,7 +29,7 @@ def golden_section(f, lo, hi, tol=1e-8, max_iter=400):
     return 0.5 * (a + b)
 
 
-def grid_then_golden(f, grid, tol):
-    """Argmin of f over the ascending ``grid``, refined by golden section between its neighbors."""
-    i = int(np.argmin([f(x) for x in grid]))
+def grid_then_golden(f, grid, values, tol):
+    """Argmin of ``values`` (f at the ascending ``grid``), refined by golden section between its neighbors."""
+    i = int(np.argmin(values))
     return golden_section(f, grid[max(0, i - 1)], grid[min(len(grid) - 1, i + 1)], tol=tol)

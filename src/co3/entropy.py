@@ -13,6 +13,11 @@ the final byte is zero-padded. Codebooks are canonical (derived from lengths
 and level order alone) with deterministic tie-breaking, so encoder and decoder
 derive identical codes independently.
 
+Encoding places each codeword into the big-endian 64-bit word holding its
+first bit: the codewords starting in one word are OR-reduced into it, and only
+the last of them can spill into the next word, since codes have at most 63
+bits. It runs in chunks of 8192 symbols, so no array holds an entry per bit.
+
 Decoding is one vectorized path for every code length up to 63 bits. Canonical
 codewords left-justified to the longest length ascend in (length, level) order,
 so comparing each payload bit's window with each length's first codeword (a
@@ -37,7 +42,7 @@ MAGIC = b"CO3"
 VERSION = 1
 _MAX_CODE_LEN = 63
 _DOUBLINGS = 2  # decode jumps 2**2 codewords at a time; 4 * 63 bits fit in uint8
-_CHUNK = 1 << 13  # bit positions per vectorized decode step; bounds the temporaries
+_CHUNK = 1 << 13  # bit positions per decode step, symbols per encode step; bounds the temporaries
 _BIT = np.arange(64, dtype=np.uint64)  # bit offset of a window within its word
 
 _HEADER = struct.Struct("<3sBHIHQBBBfH")  # through level_count
@@ -119,6 +124,11 @@ def build_codebook(probs):
     depth = [0] * (2 * n - 1)
     for node in range(2 * n - 3, -1, -1):  # every parent is numbered above its children
         depth[node] = depth[parent[node]] + 1
+    if max(depth[:n]) > _MAX_CODE_LEN:
+        raise ValueError(
+            f"the Huffman code for these probabilities is {max(depth[:n])} bits deep, "
+            f"past the {_MAX_CODE_LEN}-bit limit of the wire format"
+        )
     return HuffmanCodebook.from_lengths(depth[:n])
 
 
@@ -214,17 +224,32 @@ def encode(q, codebook, *, user_id=0, iteration=0, layer_id=0):
         raise ValueError(
             f"symbol {int(sym[bad])} at index {bad} outside the {codebook.level_count}-level alphabet"
         )
-    lengths = np.asarray(codebook.code_lengths, dtype=np.int64)[sym]
-    total = int(lengths.sum())
-    if total:
-        codes = np.asarray(codebook.codewords, dtype=np.uint64)[sym]
-        starts = np.cumsum(lengths) - lengths
-        within = np.arange(total, dtype=np.int64) - np.repeat(starts, lengths)
-        shift = (np.repeat(lengths, lengths) - 1 - within).astype(np.uint64)
-        bits = ((np.repeat(codes, lengths) >> shift) & np.uint64(1)).astype(np.uint8)
-        payload = np.packbits(bits).tobytes()
-    else:
-        payload = b""
+    len_table = np.asarray(codebook.code_lengths, dtype=np.int64)
+    total = int(np.bincount(sym, minlength=codebook.level_count) @ len_table)
+    # codewords left-justified in 64 bits: shifted right by the offset of
+    # their first bit, they OR into that bit's word, and the bits shifted out
+    # spill into the next word; codes of at most 63 bits span two words at
+    # most, so only the last codeword starting in a word can spill
+    left = np.asarray(codebook.codewords, dtype=np.uint64) << (64 - len_table).astype(np.uint64)
+    words = np.zeros((total >> 6) + 2, dtype=np.uint64)
+    end = 0
+    for a in range(0, sym.size, _CHUNK):
+        chunk = sym[a : a + _CHUNK]
+        lengths = len_table[chunk]
+        ends = np.cumsum(lengths) + end
+        end = int(ends[-1])
+        starts = ends - lengths
+        word = starts >> 6
+        offset = (starts & 63).astype(np.uint64)
+        codes = left[chunk]
+        first = np.empty(chunk.size, dtype=bool)
+        first[0] = True
+        np.not_equal(word[1:], word[:-1], out=first[1:])
+        runs = np.flatnonzero(first)
+        words[word[runs]] |= np.bitwise_or.reduceat(codes >> offset, runs)
+        spill = np.flatnonzero((ends - 1) >> 6 > word)
+        words[word[spill] + 1] |= codes[spill] << (64 - offset[spill])
+    payload = words.astype(">u8").tobytes()[: (total + 7) >> 3]
     pad = (-total) % 8
     return EncodedBlock(
         user_id=user_id,

@@ -9,7 +9,13 @@ ties round toward the level with even (exponent, fraction)-field integer
 
 The exponent bias is chosen to minimize the expected squared quantization
 error under a fitted GenNorm gradient model, evaluated by deterministic
-composite quadrature (``optimize_bias``). ``bias_polynomial`` is a cheap
+composite quadrature (``optimize_bias``). ``bias_objective`` takes an array of
+biases and scores them in vectorized passes of at most 32k quadrature nodes:
+the levels at bias b are the bias-0 levels times ``2.0 ** b``, with Python's
+scalar power as ``_grid`` takes it, so no format or grid is built per bias and
+every value equals the one on that bias's own grid bit for bit. ``optimize_bias``
+scores its 161-point grid in one such call, then refines by golden section.
+``bias_polynomial`` is a cheap
 quartic in the shape parameter, least-squares fitted to that optimum for the
 FP4 ``[1,2,1]`` format under a unit-variance GenNorm and shifted by
 log2(sigma) for other scales; it holds to within about 0.011 for beta in
@@ -158,6 +164,11 @@ def count_saturated(x, fmt):
 # exponent bias selection
 
 
+# quadrature nodes per vectorized pass of bias_objective (8 FP4 biases):
+# larger passes raise peak memory and run slower once they outgrow the cache
+_PASS_NODES = 1 << 15
+
+
 @dataclass(frozen=True)
 class BiasSearchConfig:
     """Search space (in unit-variance coordinates) and quadrature resolution."""
@@ -181,31 +192,70 @@ class BiasSearchConfig:
             raise ValueError("invalid quadrature settings")
 
 
-def bias_objective(b, dist, fmt, search=BiasSearchConfig()):
-    """Expected squared quantization error E[(Q_b(G) - G)^2] by composite quadrature.
-
-    The span mu +- span_sigmas * sigma is partitioned into the quantizer's
-    nearest-neighbor cells and each cell gets its own trapezoid rule, nodes
-    aligned to the (b-dependent) cell boundaries. That keeps the objective
-    smooth in b, so the grid-plus-golden search has a well-defined minimum.
-    """
-    sigma = dist.sigma
-    lo = dist.mu - search.quad_span_sigmas * sigma
-    hi = dist.mu + search.quad_span_sigmas * sigma
-    levels = enumerate_levels(fmt.with_bias(b))
-    mids = 0.5 * (levels[:-1] + levels[1:])
-    cell_lo = np.clip(np.concatenate(([lo], mids)), lo, hi)
-    cell_hi = np.clip(np.concatenate((mids, [hi])), lo, hi)
-    cell_hi = np.maximum(cell_hi, cell_lo)
-    n = max(9, search.quad_nodes // levels.size) | 1  # odd nodes for Simpson
+@lru_cache(maxsize=16)
+def _bias_quadrature(mant_bits, exp_bits, quad_nodes):
+    """Bias-0 levels of the format, Simpson nodes on [0, 1] per cell and their weights."""
+    levels = _grid(FpFormat(mant_bits, exp_bits))[0]
+    n = max(9, quad_nodes // levels.size) | 1  # odd nodes for Simpson
     t = np.linspace(0.0, 1.0, n)
-    x = cell_lo[:, None] + (cell_hi - cell_lo)[:, None] * t[None, :]
-    err2 = (levels[:, None] - x) ** 2 * gennorm_pdf(x, dist)
     w = np.full(n, 2.0)
     w[1::2] = 4.0
     w[0] = w[-1] = 1.0
-    h = (cell_hi - cell_lo) / (n - 1)
-    return float((h * (err2 @ w) / 3.0).sum())
+    t.setflags(write=False)
+    w.setflags(write=False)
+    return levels, t, w
+
+
+def bias_objective(b, dist, fmt, search=BiasSearchConfig()):
+    """Expected squared quantization error E[(Q_b(G) - G)^2] by composite quadrature.
+
+    ``b`` is one bias (a ``float`` is returned) or an array of biases (an
+    array of the same shape is returned). The span mu +- span_sigmas * sigma
+    is partitioned into the quantizer's nearest-neighbor cells and each cell
+    gets its own Simpson rule, nodes aligned to the (b-dependent) cell
+    boundaries. That keeps the objective smooth in b, so the grid-plus-golden
+    search has a well-defined minimum.
+
+    The levels at bias b are the bias-0 levels times ``2.0 ** b``, taken with
+    Python's scalar power exactly as ``_grid`` applies the bias (numpy's array
+    power differs from it in the last bit), so each value equals the one
+    computed on ``fmt.with_bias(b)``'s own grid bit for bit, and no format or
+    grid is built per bias. Biases are evaluated in vectorized passes of at
+    most ``_PASS_NODES`` quadrature nodes (8 biases on FP4), which bounds the
+    temporaries. A bias whose levels overflow or collide in float64, which
+    ``FpFormat`` would reject, raises ``ValueError``.
+    """
+    biases = np.asarray(b, dtype=np.float64)
+    try:
+        scales = np.array([2.0 ** float(x) for x in biases.ravel()])
+    except OverflowError as err:
+        raise ValueError(f"a bias in {b} overflows float64") from err
+    unit_levels, t, w = _bias_quadrature(fmt.mant_bits, fmt.exp_bits, search.quad_nodes)
+    n = t.size
+    sigma = dist.sigma
+    lo = dist.mu - search.quad_span_sigmas * sigma
+    hi = dist.mu + search.quad_span_sigmas * sigma
+    out = np.empty(scales.size)
+    rows = max(1, _PASS_NODES // (unit_levels.size * n))
+    for a in range(0, scales.size, rows):
+        with np.errstate(over="ignore", invalid="ignore"):  # such levels are rejected below
+            levels = scales[a : a + rows, None] * unit_levels
+        valid = np.isfinite(levels[:, -1]) & (levels[:, 1:] > levels[:, :-1]).all(axis=1)
+        if not valid.all():
+            raise ValueError(
+                f"at bias {biases.ravel()[a + int(np.argmin(valid))]} the levels of "
+                f"[1,{fmt.mant_bits},{fmt.exp_bits}] overflow or underflow float64"
+            )
+        mids = 0.5 * (levels[:, :-1] + levels[:, 1:])
+        ends = [np.full((mids.shape[0], 1), v) for v in (lo, hi)]
+        edges = np.concatenate((ends[0], mids, ends[1]), axis=1).clip(lo, hi)
+        cell_lo = edges[:, :-1]
+        cell_hi = np.maximum(edges[:, 1:], cell_lo)
+        x = cell_lo[..., None] + (cell_hi - cell_lo)[..., None] * t
+        err2 = (levels[..., None] - x) ** 2 * gennorm_pdf(x, dist)
+        h = (cell_hi - cell_lo) / (n - 1)
+        out[a : a + rows] = (h * (err2 @ w) / 3.0).sum(axis=1)
+    return float(out[0]) if biases.ndim == 0 else out.reshape(biases.shape)
 
 
 def optimize_bias(dist, fmt, search=BiasSearchConfig()):
@@ -213,8 +263,10 @@ def optimize_bias(dist, fmt, search=BiasSearchConfig()):
 
     The search runs on the unit-variance member of the scale family (levels
     scale as 2**bias, so rescaling the distribution by s shifts the optimum by
-    exactly log2(s)) and the result is shifted back by log2(sigma). Grid
-    argmin first, golden-section refinement of the bracketing cells second.
+    exactly log2(s)) and the result is shifted back by log2(sigma). The
+    161-point grid is scored by one array call of ``bias_objective``, in its
+    vectorized passes; golden section then refines the grid argmin between
+    its neighbors, one scalar call per step.
     """
     if dist.alpha < search.alpha_floor:
         log.warning(
@@ -226,11 +278,11 @@ def optimize_bias(dist, fmt, search=BiasSearchConfig()):
     sigma = dist.sigma
     unit = GenNormParams(dist.beta, dist.mu / sigma, dist.alpha / sigma)
 
-    b_unit = grid_then_golden(
-        lambda b: bias_objective(b, unit, fmt, search),
-        np.arange(search.grid_lo, search.grid_hi + 0.5 * search.grid_step, search.grid_step),
-        search.tol,
-    )
+    def objective(b):
+        return bias_objective(b, unit, fmt, search)
+
+    grid = np.arange(search.grid_lo, search.grid_hi + 0.5 * search.grid_step, search.grid_step)
+    b_unit = grid_then_golden(objective, grid, objective(grid), search.tol)
     return float(b_unit + math.log2(sigma))
 
 

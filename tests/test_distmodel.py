@@ -233,6 +233,25 @@ class TestW2:
         reports = {r.family: r.w2 for r in fit_all(x)}
         assert reports["gennorm"] <= reports["laplace"] + 1e-9
 
+    @pytest.mark.parametrize("n", [650, 4095, 4096, 10_000])
+    @pytest.mark.parametrize("beta", [0.37, 1.0, 2.0])
+    def test_equals_the_ppf_coupling_bit_for_bit(self, n, beta):
+        x = np.sort(np.random.default_rng(23).laplace(0.01, 0.003, n))
+        model = GenNormParams(beta, 0.011, 0.0027)
+        k = min(n, distmodel.W2_MAX_QUANTILES)
+        q = (np.arange(1, k + 1) - 0.5) / k
+        emp = x[np.ceil(q * n).astype(np.int64) - 1]
+        ref = float(np.sqrt(np.mean((emp - gennorm_ppf(q, model)) ** 2)))
+        assert w2_distance(x, model) == ref
+        assert w2_distance(x, model) == ref  # from the cached unit quantiles
+
+    def test_cached_unit_quantiles_are_read_only(self):
+        w2_distance(np.linspace(-1.0, 1.0, 300), GenNormParams(2.0, 0.0, 1.0))
+        z = distmodel._unit_quantiles(2.0, 300)
+        assert z is distmodel._unit_quantiles(2.0, 300)
+        with pytest.raises(ValueError):
+            z[0] = 0.0
+
     def test_affine_equivariance(self):
         rng = np.random.default_rng(22)
         x = rng.normal(0, 1, 5000)

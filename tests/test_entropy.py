@@ -115,6 +115,14 @@ class TestCodebook:
         # canonical code depends only on (length, level index)
         assert a.codewords == (0b00, 0b01, 0b10, 0b11)
 
+    def test_tree_deeper_than_63_bits_is_a_value_error(self):
+        # a valid distribution whose Huffman tree is a 69-deep chain
+        p = 0.5 ** np.arange(1, 71)
+        p[-1] *= 2
+        with pytest.raises(ValueError, match="63-bit limit") as info:
+            build_codebook(p)
+        assert type(info.value) is ValueError
+
     def test_from_lengths_rejects_non_kraft(self):
         with pytest.raises(CorruptionError):
             HuffmanCodebook.from_lengths([1, 2, 2, 2])
@@ -227,6 +235,39 @@ class TestEncodeDecode:
             tracemalloc.stop()
         assert np.array_equal(out, sym)
         assert peak < 16 * block.payload_bits
+
+    def test_encode_memory_per_payload_bit(self):
+        # the same 14-bit-code block as the decode bound above
+        fmt = FpFormat(mant_bits=3, exp_bits=2)
+        levels = np.arange(fmt.level_count)
+        p = np.exp(-np.abs(levels - 31) / 4.0)
+        p /= p.sum()
+        cb = build_codebook(p)
+        sym = np.random.default_rng(4).choice(fmt.level_count, size=230_000, p=p).astype(np.int32)
+        q = QuantizedTensor(sym, fmt)
+        tracemalloc.start()
+        try:
+            block = encode(q, cb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert block.payload_bits >= 1_000_000
+        assert np.array_equal(decode(block, cb), sym)
+        assert peak < 16 * block.payload_bits
+
+    @pytest.mark.parametrize("longest", [1, 9, 33, 63])
+    def test_encode_matches_bit_string_oracle(self, longest):
+        # a chain of lengths 1..longest-1 plus two codes of the longest length;
+        # 20,000 symbols cross several encode chunks and word boundaries
+        lengths = list(range(1, longest)) + [longest, longest]
+        cb = HuffmanCodebook.from_lengths(lengths)
+        rng = np.random.default_rng(longest)
+        sym = rng.integers(0, len(lengths), 20_000).astype(np.int32)
+        block = encode(QuantizedTensor(sym, FP4), cb)
+        bits = "".join(format(cb.codewords[s], f"0{cb.code_lengths[s]}b") for s in sym)
+        bits += "0" * (-len(bits) % 8)
+        assert block.payload == int(bits, 2).to_bytes(len(bits) // 8, "big")
+        assert block.payload_bits + block.pad_bits == len(bits)
 
     def test_trailing_garbage_detected(self):
         cb = build_codebook([0.5, 0.25, 0.125, 0.125])

@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from co3.distmodel import GenNormParams, sample_gennorm
+from co3 import fpq
+from co3.distmodel import GenNormParams, gennorm_pdf, sample_gennorm
 from co3.fpq import (
     FP4,
     BiasSearchConfig,
@@ -48,6 +49,27 @@ def laplace_fp4_mse(b):
     hi = (k + 0.5) * step
     at_hi = np.where(k < 7, antiderivative(hi), 0.0)  # top cell runs to +inf
     return 2.0 * (at_hi - antiderivative(lo)).sum(-1)
+
+
+def per_bias_objective(b, dist, fmt, search=BiasSearchConfig()):
+    """One bias at a time on fmt.with_bias(b)'s own level grid: bias_objective before it took arrays."""
+    sigma = dist.sigma
+    lo = dist.mu - search.quad_span_sigmas * sigma
+    hi = dist.mu + search.quad_span_sigmas * sigma
+    levels = enumerate_levels(fmt.with_bias(b))
+    mids = 0.5 * (levels[:-1] + levels[1:])
+    cell_lo = np.clip(np.concatenate(([lo], mids)), lo, hi)
+    cell_hi = np.clip(np.concatenate((mids, [hi])), lo, hi)
+    cell_hi = np.maximum(cell_hi, cell_lo)
+    n = max(9, search.quad_nodes // levels.size) | 1
+    t = np.linspace(0.0, 1.0, n)
+    x = cell_lo[:, None] + (cell_hi - cell_lo)[:, None] * t[None, :]
+    err2 = (levels[:, None] - x) ** 2 * gennorm_pdf(x, dist)
+    w = np.full(n, 2.0)
+    w[1::2] = 4.0
+    w[0] = w[-1] = 1.0
+    h = (cell_hi - cell_lo) / (n - 1)
+    return float((h * (err2 @ w) / 3.0).sum())
 
 
 def laplace_fp4_argmin():
@@ -238,6 +260,32 @@ class TestBias:
             mc, se = float(err2.mean()), float(err2.std(ddof=1) / math.sqrt(err2.size))
             quad = bias_objective(b, dist, FP4)
             assert abs(quad - mc) <= 3 * se
+
+    @pytest.mark.parametrize("beta", [0.3, 0.6, 1.0, 1.4, 2.0])
+    @pytest.mark.parametrize("fmt", [FP4, FpFormat(3, 2), FpFormat(4, 3)], ids=["fp4", "1-3-2", "1-4-3"])
+    def test_array_objective_equals_per_bias_reference(self, fmt, beta):
+        search = BiasSearchConfig()
+        grid = np.arange(search.grid_lo, search.grid_hi + 0.5 * search.grid_step, search.grid_step)
+        assert grid.size == 161
+        dist = unit_variance_gennorm(beta, sigma=1.3, mu=0.02)
+        ref = np.array([per_bias_objective(b, dist, fmt) for b in grid])
+        assert np.array_equal(bias_objective(grid, dist, fmt), ref)
+        # a scalar bias gives a float, and any shape is kept
+        assert type(bias_objective(grid[7], dist, fmt)) is float
+        assert bias_objective(grid[7], dist, fmt) == ref[7]
+        assert np.array_equal(bias_objective(grid[:6].reshape(2, 3), dist, fmt), ref[:6].reshape(2, 3))
+
+    def test_optimize_bias_builds_no_grid_per_bias(self):
+        fmt = FpFormat(mant_bits=3, exp_bits=1)
+        before = fpq._grid.cache_info().misses
+        optimize_bias(unit_variance_gennorm(0.9, sigma=0.01), fmt)
+        assert fpq._grid.cache_info().misses - before <= 1
+
+    def test_objective_rejects_unrepresentable_biases(self):
+        dist = unit_variance_gennorm(1.0)
+        for b in (float("nan"), 1e6, np.array([0.0, 1023.5]), -1100.0):
+            with pytest.raises(ValueError):
+                bias_objective(b, dist, FP4)
 
     def test_degenerate_scale_defaults_to_zero(self, caplog):
         dist = GenNormParams(2.0, 0.0, 1e-15)

@@ -185,7 +185,9 @@ def cmd_bias_sweep(args):
             )
             dist = distmodel.GenNormParams(beta, 0.0, alpha)
             b_grid = fpq.optimize_bias(dist, fmt)
-            w.writerow([f"{beta:.6g}", repr(b_grid), repr(fpq.bias_polynomial(beta, args.sigma))])
+            # the quartic is fitted to FP4 and holds for no other format
+            b_poly = repr(fpq.bias_polynomial(beta, args.sigma)) if fmt == fpq.FP4 else ""
+            w.writerow([f"{beta:.6g}", repr(b_grid), b_poly])
     print(f"wrote {len(betas)} rows to {outpath}")
     return 0
 

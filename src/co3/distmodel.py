@@ -16,7 +16,7 @@ point (DiDonato & Morris, ACM TOMS 12(4), 1986).
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -363,22 +363,19 @@ def w2_distance(samples, model):
 
 def fit_all(samples):
     """Fit all three families and score each with W2; order: normal, laplace, gennorm."""
-    reports = []
     mean, sd = fit_normal(samples)
     if sd == 0.0:
         raise DegenerateSampleError("zero standard deviation")
-    reports.append(
-        FitReport("normal", 2.0, mean, sd, w2_distance(samples, GenNormParams(2.0, mean, sd * math.sqrt(2.0))))
-    )
     med, div = fit_laplace(samples)
     if div == 0.0:
         raise DegenerateSampleError("zero mean absolute deviation")
-    reports.append(
-        FitReport("laplace", 1.0, med, div, w2_distance(samples, GenNormParams(1.0, med, div)))
-    )
     gn = fit_gennorm(samples)
-    reports.append(FitReport("gennorm", gn.beta, gn.mu, gn.alpha, w2_distance(samples, gn)))
-    return reports
+    fits = [
+        FitReport("normal", 2.0, mean, sd, math.nan),
+        FitReport("laplace", 1.0, med, div, math.nan),
+        FitReport("gennorm", gn.beta, gn.mu, gn.alpha, math.nan),
+    ]
+    return [replace(fit, w2=w2_distance(samples, fit.as_gennorm())) for fit in fits]
 
 
 def cell_probabilities(dist, fmt):

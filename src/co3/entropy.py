@@ -217,15 +217,20 @@ class EncodedBlock:
 
 
 def encode(q, codebook, *, user_id=0, iteration=0, layer_id=0):
-    """Concatenate canonical codewords MSB-first and byte-pad with zeros."""
+    """Concatenate canonical codewords MSB-first and byte-pad with zeros.
+
+    The header carries the format's bias as a float32, so it must be one.
+    """
     sym = np.asarray(q.symbols).ravel()
     if sym.size and (sym.min() < 0 or sym.max() >= codebook.level_count):
         bad = int(np.argwhere((sym < 0) | (sym >= codebook.level_count))[0][0])
         raise ValueError(
             f"symbol {int(sym[bad])} at index {bad} outside the {codebook.level_count}-level alphabet"
         )
+    if float(np.float32(q.fmt.bias)) != q.fmt.bias:
+        raise ValueError(f"bias {q.fmt.bias!r} is not a float32, so the header cannot carry it")
     len_table = np.asarray(codebook.code_lengths, dtype=np.int64)
-    total = int(np.bincount(sym, minlength=codebook.level_count) @ len_table)
+    total = sum(int(len_table[sym[a : a + _CHUNK]].sum()) for a in range(0, sym.size, _CHUNK))
     # codewords left-justified in 64 bits: shifted right by the offset of
     # their first bit, they OR into that bit's word, and the bits shifted out
     # spill into the next word; codes of at most 63 bits span two words at

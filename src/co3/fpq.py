@@ -7,15 +7,17 @@ to a single level, overflow saturates to the largest magnitude, and midpoint
 ties round toward the level with even (exponent, fraction)-field integer
 (round-half-to-even; equals the even-fraction rule whenever mant_bits >= 1).
 
+The levels at bias b are one cached bias-0 grid times Python's scalar
+``2.0 ** b``; ``FpFormat``, the quantizer and the bias search all take them,
+and one check that they are finite and strictly ascending, from ``_levels_at``.
+
 The exponent bias is chosen to minimize the expected squared quantization
 error under a fitted GenNorm gradient model, evaluated by deterministic
-composite quadrature (``optimize_bias``). ``bias_objective`` takes an array of
-biases and scores them in vectorized passes of at most 32k quadrature nodes:
-the levels at bias b are the bias-0 levels times ``2.0 ** b``, with Python's
-scalar power as ``_grid`` takes it, so no format or grid is built per bias and
-every value equals the one on that bias's own grid bit for bit. ``optimize_bias``
-scores its 161-point grid in one such call, then refines by golden section.
-``bias_polynomial`` is a cheap
+composite quadrature over mu +- 16 sigma (``optimize_bias``).
+``bias_objective`` takes an array of biases and scores them in vectorized
+passes of at most 32k quadrature nodes, so no format or grid is built per
+bias. ``optimize_bias`` scores its 161-point grid in one such call, then
+refines by golden section. ``bias_polynomial`` is a cheap
 quartic in the shape parameter, least-squares fitted to that optimum for the
 FP4 ``[1,2,1]`` format under a unit-variance GenNorm and shifted by
 log2(sigma) for other scales; it holds to within about 0.011 for beta in
@@ -55,25 +57,7 @@ class FpFormat:
             raise ValueError("formats wider than 16 bits total are not supported")
         if not math.isfinite(self.bias):
             raise ValueError("bias must be finite")
-        # the top level as _grid computes it: (2 - 2^-m) * 2^(2^e - 2) * 2^bias
-        try:
-            top = math.ldexp(2.0 - 2.0**-self.mant_bits, 2**self.exp_bits - 2) * 2.0**self.bias
-        except OverflowError:
-            top = math.inf
-        if not math.isfinite(top):
-            raise ValueError(
-                f"the top level of [1,{self.mant_bits},{self.exp_bits}] with bias "
-                f"{self.bias} overflows float64"
-            )
-        # levels can round to the same value only in float64's subnormal range,
-        # so only a grid whose smallest positive level lies there is compared
-        levels = _grid(self)[0]
-        subnormal = levels[levels.size // 2 + 1] < np.finfo(np.float64).tiny
-        if subnormal and not np.all(levels[1:] > levels[:-1]):
-            raise ValueError(
-                f"the levels of [1,{self.mant_bits},{self.exp_bits}] with bias "
-                f"{self.bias} underflow float64: they do not ascend strictly"
-            )
+        _grid(self)  # rejects a bias whose levels overflow or underflow float64
 
     @property
     def total_bits(self):
@@ -100,23 +84,53 @@ class QuantizedTensor:
         return self.symbols.shape
 
 
-@lru_cache(maxsize=64)
-def _grid(fmt):
-    """(levels ascending, tie ranks): rank parity alternates between neighbors."""
-    m, e = fmt.mant_bits, fmt.exp_bits
+@lru_cache(maxsize=16)
+def _unit_grid(mant_bits, exp_bits):
+    """(bias-0 levels ascending, tie ranks): rank parity alternates between neighbors.
+
+    Levels past float64's range are inf; ``_levels_at`` rejects them.
+    """
+    m, e = mant_bits, exp_bits
     E = np.arange(2**e, dtype=np.float64).repeat(2**m)
     f = np.tile(np.arange(2**m, dtype=np.float64), 2**e)
     frac = 1.0 + f * 2.0**-m
-    mags = np.where(E >= 1, frac * 2.0 ** (E - 1.0), f * 2.0**-m)
-    # bias applied as a separate power-of-two factor so integer bias shifts
-    # rescale the grid exactly
-    mags = mags * 2.0**fmt.bias
+    with np.errstate(over="ignore"):
+        mags = np.where(E >= 1, frac * 2.0 ** (E - 1.0), f * 2.0**-m)
     ranks = np.arange(mags.size, dtype=np.int64)  # = E * 2**m + f
     levels = np.concatenate((-mags[:0:-1], mags))
     tie = np.concatenate((ranks[:0:-1], ranks))
     levels.setflags(write=False)
     tie.setflags(write=False)
     return levels, tie
+
+
+def _levels_at(mant_bits, exp_bits, biases):
+    """One row per bias: the bias-0 levels times ``2.0 ** b``, checked finite and strictly ascending.
+
+    The bias is taken with Python's scalar power (numpy's array power differs
+    from it in the last bit), so integer bias shifts rescale the grid exactly.
+    """
+    # Python's power raises past 2 ** 1024; inf marks such a bias as overflowing
+    scales = np.array([2.0 ** float(b) if b < 1024 else math.inf for b in biases])
+    with np.errstate(over="ignore", invalid="ignore"):  # such rows are rejected below
+        levels = scales[:, None] * _unit_grid(mant_bits, exp_bits)[0]
+    name = f"[1,{mant_bits},{exp_bits}]"
+    finite = np.isfinite(levels[:, -1])
+    if not finite.all():
+        raise ValueError(f"the top level of {name} with bias {biases[np.argmin(finite)]} overflows float64")
+    ascending = (levels[:, 1:] > levels[:, :-1]).all(axis=1)
+    if not ascending.all():
+        b = biases[np.argmin(ascending)]
+        raise ValueError(f"the levels of {name} with bias {b} underflow float64: they do not ascend strictly")
+    return levels
+
+
+@lru_cache(maxsize=64)
+def _grid(fmt):
+    """(levels ascending, tie ranks) of ``fmt``."""
+    levels = _levels_at(fmt.mant_bits, fmt.exp_bits, [fmt.bias])[0]
+    levels.setflags(write=False)
+    return levels, _unit_grid(fmt.mant_bits, fmt.exp_bits)[1]
 
 
 FP4 = FpFormat(mant_bits=2, exp_bits=1)
@@ -167,85 +181,72 @@ def count_saturated(x, fmt):
 # quadrature nodes per vectorized pass of bias_objective (8 FP4 biases):
 # larger passes raise peak memory and run slower once they outgrow the cache
 _PASS_NODES = 1 << 15
+# Simpson nodes per bias, spread over the cells (at least 9 per cell)
+_QUAD_NODES = 4096
+# the objective drops the squared error beyond mu +- 16 sigma, which misleads
+# the search for heavy tails: at beta 0.3 [1,4,3] gets bias -2.98, whose MSE
+# (2.2e-2) is 60x the exact optimum's and 150x the objective's. FP4 at beta
+# 0.54 to 1.40, as trained, loses at most 0.011 % MSE (ROADMAP item 2)
+_QUAD_SPAN_SIGMAS = 16.0
+# a fitted scale below this is degenerate and gets bias 0
+_ALPHA_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
 class BiasSearchConfig:
-    """Search space (in unit-variance coordinates) and quadrature resolution."""
+    """Search space of ``optimize_bias``, in unit-variance coordinates."""
 
     grid_lo: float = -4.0
     grid_hi: float = 4.0
     grid_step: float = 0.05
     tol: float = 1e-8
-    quad_nodes: int = 4096
-    # heavy-tailed shapes (beta < 1) carry objective mass past 8 sigma; 16
-    # keeps the quadrature within Monte-Carlo noise across beta >= 0.3
-    quad_span_sigmas: float = 16.0
-    alpha_floor: float = 1e-12
 
     def __post_init__(self):
         if not self.grid_hi > self.grid_lo:
             raise ValueError("empty bias search range")
         if self.grid_step <= 0 or self.tol <= 0:
             raise ValueError("grid_step and tol must be positive")
-        if self.quad_nodes < 16 or self.quad_span_sigmas <= 0:
-            raise ValueError("invalid quadrature settings")
 
 
 @lru_cache(maxsize=16)
-def _bias_quadrature(mant_bits, exp_bits, quad_nodes):
-    """Bias-0 levels of the format, Simpson nodes on [0, 1] per cell and their weights."""
-    levels = _grid(FpFormat(mant_bits, exp_bits))[0]
-    n = max(9, quad_nodes // levels.size) | 1  # odd nodes for Simpson
+def _bias_quadrature(mant_bits, exp_bits):
+    """Simpson nodes on [0, 1] per cell of the format and their weights."""
+    n = max(9, _QUAD_NODES // _unit_grid(mant_bits, exp_bits)[0].size) | 1  # odd nodes for Simpson
     t = np.linspace(0.0, 1.0, n)
     w = np.full(n, 2.0)
     w[1::2] = 4.0
     w[0] = w[-1] = 1.0
     t.setflags(write=False)
     w.setflags(write=False)
-    return levels, t, w
+    return t, w
 
 
 def bias_objective(b, dist, fmt, search=BiasSearchConfig()):
     """Expected squared quantization error E[(Q_b(G) - G)^2] by composite quadrature.
 
     ``b`` is one bias (a ``float`` is returned) or an array of biases (an
-    array of the same shape is returned). The span mu +- span_sigmas * sigma
-    is partitioned into the quantizer's nearest-neighbor cells and each cell
+    array of the same shape is returned). The span mu +- 16 sigma is
+    partitioned into the quantizer's nearest-neighbor cells and each cell
     gets its own Simpson rule, nodes aligned to the (b-dependent) cell
     boundaries. That keeps the objective smooth in b, so the grid-plus-golden
-    search has a well-defined minimum.
+    search has a well-defined minimum. ``search`` is not read; it is accepted
+    so that a caller can pass ``optimize_bias``'s settings to both.
 
-    The levels at bias b are the bias-0 levels times ``2.0 ** b``, taken with
-    Python's scalar power exactly as ``_grid`` applies the bias (numpy's array
-    power differs from it in the last bit), so each value equals the one
-    computed on ``fmt.with_bias(b)``'s own grid bit for bit, and no format or
-    grid is built per bias. Biases are evaluated in vectorized passes of at
-    most ``_PASS_NODES`` quadrature nodes (8 biases on FP4), which bounds the
-    temporaries. A bias whose levels overflow or collide in float64, which
-    ``FpFormat`` would reject, raises ``ValueError``.
+    The levels are ``_levels_at``'s, as on ``fmt.with_bias(b)``'s own grid,
+    so no format or grid is built per bias and a bias that ``FpFormat`` would
+    reject raises ``ValueError``. Biases are scored in vectorized passes of at
+    most ``_PASS_NODES`` quadrature nodes (8 biases on FP4).
     """
     biases = np.asarray(b, dtype=np.float64)
-    try:
-        scales = np.array([2.0 ** float(x) for x in biases.ravel()])
-    except OverflowError as err:
-        raise ValueError(f"a bias in {b} overflows float64") from err
-    unit_levels, t, w = _bias_quadrature(fmt.mant_bits, fmt.exp_bits, search.quad_nodes)
+    flat = biases.ravel()
+    t, w = _bias_quadrature(fmt.mant_bits, fmt.exp_bits)
     n = t.size
-    sigma = dist.sigma
-    lo = dist.mu - search.quad_span_sigmas * sigma
-    hi = dist.mu + search.quad_span_sigmas * sigma
-    out = np.empty(scales.size)
-    rows = max(1, _PASS_NODES // (unit_levels.size * n))
-    for a in range(0, scales.size, rows):
-        with np.errstate(over="ignore", invalid="ignore"):  # such levels are rejected below
-            levels = scales[a : a + rows, None] * unit_levels
-        valid = np.isfinite(levels[:, -1]) & (levels[:, 1:] > levels[:, :-1]).all(axis=1)
-        if not valid.all():
-            raise ValueError(
-                f"at bias {biases.ravel()[a + int(np.argmin(valid))]} the levels of "
-                f"[1,{fmt.mant_bits},{fmt.exp_bits}] overflow or underflow float64"
-            )
+    lo = dist.mu - _QUAD_SPAN_SIGMAS * dist.sigma
+    hi = dist.mu + _QUAD_SPAN_SIGMAS * dist.sigma
+    out = np.empty(flat.size)
+    rows = max(1, _PASS_NODES // (fmt.level_count * n))
+    for a in range(0, flat.size, rows):
+        levels = _levels_at(fmt.mant_bits, fmt.exp_bits, flat[a : a + rows])
         mids = 0.5 * (levels[:, :-1] + levels[:, 1:])
         ends = [np.full((mids.shape[0], 1), v) for v in (lo, hi)]
         edges = np.concatenate((ends[0], mids, ends[1]), axis=1).clip(lo, hi)
@@ -268,18 +269,18 @@ def optimize_bias(dist, fmt, search=BiasSearchConfig()):
     vectorized passes; golden section then refines the grid argmin between
     its neighbors, one scalar call per step.
     """
-    if dist.alpha < search.alpha_floor:
+    if dist.alpha < _ALPHA_FLOOR:
         log.warning(
             "degenerate gradient distribution (alpha=%.3g < %.3g); bias defaults to 0",
             dist.alpha,
-            search.alpha_floor,
+            _ALPHA_FLOOR,
         )
         return 0.0
     sigma = dist.sigma
     unit = GenNormParams(dist.beta, dist.mu / sigma, dist.alpha / sigma)
 
     def objective(b):
-        return bias_objective(b, unit, fmt, search)
+        return bias_objective(b, unit, fmt)
 
     grid = np.arange(search.grid_lo, search.grid_hi + 0.5 * search.grid_step, search.grid_step)
     b_unit = grid_then_golden(objective, grid, objective(grid), search.tol)

@@ -166,13 +166,11 @@ class TrainConfig:
     fixed_bias: float = 0.0
     rebuild: str = "epoch"  # fit/bias/codebook cadence: "epoch" | "iteration"
     include_headers: bool = True
-    fit_sample_cap: int = 200_000
     hidden: tuple = (128, 64)
     shard_mode: str = "partition"  # "partition" | "replicate" (identical data + streams)
     track_history: bool = False
     keep_streams: bool = False
     keep_fit_samples: bool = False
-    bias_search: fpq.BiasSearchConfig = field(default_factory=fpq.BiasSearchConfig)
 
     def __post_init__(self):
         if self.eta <= 0:
@@ -266,6 +264,7 @@ class RunMetrics:
 
 
 _FALLBACK_ALPHA = 1e-8
+FIT_SAMPLE_CAP = 200_000  # values per layer fit; larger pooled layers are subsampled evenly
 
 
 def _subsample(values, cap):
@@ -276,16 +275,15 @@ def _subsample(values, cap):
 
 
 def _fit_layer(samples, previous):
-    """Three-family fit of the quantizer input; falls back on degenerate layers."""
+    """(fit reports, GenNorm); a degenerate layer gets no reports and the last GenNorm or a narrow Normal."""
     try:
-        return distmodel.fit_all(samples), None
-    except (distmodel.DegenerateSampleError, distmodel.InsufficientDataError) as exc:
+        reports = distmodel.fit_all(samples)
+    except (distmodel.DegenerateSampleError, distmodel.InsufficientDataError):
         if previous is not None:
-            return None, previous
-        mean = float(np.mean(samples)) if samples.size else 0.0
-        std = float(np.std(samples)) if samples.size else 0.0
-        gn = distmodel.GenNormParams(2.0, mean, max(std, _FALLBACK_ALPHA) * math.sqrt(2.0))
-        return None, gn
+            return [], previous
+        alpha = max(float(np.std(samples)), _FALLBACK_ALPHA) * math.sqrt(2.0)
+        return [], distmodel.GenNormParams(2.0, float(np.mean(samples)), alpha)
+    return reports, reports[-1].as_gennorm()  # fit_all lists the gennorm fit last
 
 
 class _Codec:
@@ -305,18 +303,14 @@ class _Codec:
             pooled = np.concatenate(
                 [feedback.corrected_input(states[(u, layer)], grads[u][layer]) for u in range(cfg.users)]
             )
-            samples = _subsample(pooled, cfg.fit_sample_cap)
-            reports, fallback = _fit_layer(samples, self.gennorms[layer] if self.gennorms else None)
-            if reports is not None:
-                gn = next(r for r in reports if r.family == "gennorm").as_gennorm()
-                for r in reports:
-                    metrics.fit_rows.append((epoch, layer, r.family, r.beta, r.mu, r.scale, r.w2))
-                if cfg.keep_fit_samples:
-                    metrics.fit_samples[(epoch, layer)] = samples
-            else:
-                gn = fallback
+            samples = _subsample(pooled, FIT_SAMPLE_CAP)
+            reports, gn = _fit_layer(samples, self.gennorms[layer] if self.gennorms else None)
+            for r in reports:
+                metrics.fit_rows.append((epoch, layer, r.family, r.beta, r.mu, r.scale, r.w2))
+            if reports and cfg.keep_fit_samples:
+                metrics.fit_samples[(epoch, layer)] = samples
             if cfg.bias_mode == "optimize":
-                b = fpq.optimize_bias(gn, cfg.fmt, cfg.bias_search)
+                b = fpq.optimize_bias(gn, cfg.fmt)
             elif cfg.bias_mode == "polynomial":
                 b = fpq.bias_polynomial(gn.beta, gn.sigma)
             else:

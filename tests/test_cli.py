@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from co3 import cli
-from co3.fpq import FP4, dequantize, quantize
+from co3.fpq import FP4, bias_polynomial, dequantize, quantize
 
 
 def run_cli(args):
@@ -114,6 +114,22 @@ class TestBiasSweep:
         rows2 = list(csv.DictReader(open(out2)))
         for r1, r2 in zip(rows, rows2):
             assert float(r2["b_polynomial"]) == pytest.approx(float(r1["b_polynomial"]) + 1)
+
+    def test_polynomial_column_for_fp4_only(self, tmp_path):
+        # the quartic is fitted to FP4; for [1,4,3] at beta 1 it would read
+        # 0.959 beside an optimum of -3.396
+        args = ["bias-sweep", "--beta-min", "0.9", "--beta-max", "1.1", "--beta-step", "0.1"]
+        wide, fp4 = tmp_path / "wide.csv", tmp_path / "fp4.csv"
+        assert run_cli(args + ["--fp", "1,4,3", "--out", str(wide)]) == 0
+        rows = list(csv.DictReader(open(wide)))
+        assert len(rows) == 3
+        assert [r["b_polynomial"] for r in rows] == ["", "", ""]
+        assert float(rows[1]["b_grid"]) == pytest.approx(-3.396, abs=1e-3)
+        assert run_cli(args + ["--fp", "1,2,1", "--out", str(fp4)]) == 0
+        rows = list(csv.DictReader(open(fp4)))
+        assert len(rows) == 3
+        for r in rows:
+            assert float(r["b_polynomial"]) == pytest.approx(bias_polynomial(float(r["beta"]), 1.0))
 
     def test_invalid_range(self, tmp_path, capsys):
         code = run_cli(["bias-sweep", "--beta-min", "0", "--beta-max", "1",

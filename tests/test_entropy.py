@@ -21,7 +21,7 @@ from co3.entropy import (
     encode,
     expected_length,
 )
-from co3.fpq import FP4, FpFormat, QuantizedTensor, quantize
+from co3.fpq import FP4, FpFormat, QuantizedTensor, dequantize, quantize
 
 
 def entropy_bits(probs):
@@ -255,6 +255,24 @@ class TestEncodeDecode:
         assert np.array_equal(decode(block, cb), sym)
         assert peak < 16 * block.payload_bits
 
+    def test_encode_memory_per_payload_bit_with_one_bit_codes(self):
+        # symbol 0 has a 1-bit code and makes up 96 % of the block, so the
+        # symbols outnumber 3 in 4 payload bits: a per-symbol int64 copy costs 6 B/bit
+        cb = HuffmanCodebook.from_lengths(list(range(1, 15)) + [14])
+        p = np.full(15, 0.04 / 14)
+        p[0] = 0.96
+        sym = np.random.default_rng(6).choice(15, size=1_000_000, p=p).astype(np.int32)
+        q = QuantizedTensor(sym, FP4)
+        tracemalloc.start()
+        try:
+            block = encode(q, cb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 1_100_000 <= block.payload_bits <= 1_400_000
+        assert np.array_equal(decode(block, cb), sym)
+        assert peak < 4 * block.payload_bits
+
     @pytest.mark.parametrize("longest", [1, 9, 33, 63])
     def test_encode_matches_bit_string_oracle(self, longest):
         # a chain of lengths 1..longest-1 plus two codes of the longest length;
@@ -326,6 +344,19 @@ class TestWireFormat:
         out = decode_block(parsed)
         assert np.array_equal(out.symbols, q.symbols.ravel())
         assert out.fmt == fmt
+
+    def test_bias_the_header_cannot_carry_is_rejected(self):
+        # the header holds the bias as a float32; 0.3 is not one, and a block
+        # carrying it rounded would decode to other values
+        x = np.random.default_rng(11).normal(0, 1, size=1000)
+        cb = build_codebook(np.full(15, 1 / 15))
+        with pytest.raises(ValueError, match="float32"):
+            encode(quantize(x, FP4.with_bias(0.3)), cb)
+        fmt = FP4.with_bias(float(np.float32(0.3)))
+        q = quantize(x, fmt)
+        parsed = EncodedBlock.from_bytes(encode(q, cb).to_bytes())
+        assert parsed.fmt == fmt
+        assert np.array_equal(dequantize(decode_block(parsed)), dequantize(q))
 
     def test_bad_magic_and_truncation(self):
         fmt = FP4

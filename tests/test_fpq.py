@@ -51,17 +51,17 @@ def laplace_fp4_mse(b):
     return 2.0 * (at_hi - antiderivative(lo)).sum(-1)
 
 
-def per_bias_objective(b, dist, fmt, search=BiasSearchConfig()):
+def per_bias_objective(b, dist, fmt):
     """One bias at a time on fmt.with_bias(b)'s own level grid: bias_objective before it took arrays."""
     sigma = dist.sigma
-    lo = dist.mu - search.quad_span_sigmas * sigma
-    hi = dist.mu + search.quad_span_sigmas * sigma
+    lo = dist.mu - fpq._QUAD_SPAN_SIGMAS * sigma
+    hi = dist.mu + fpq._QUAD_SPAN_SIGMAS * sigma
     levels = enumerate_levels(fmt.with_bias(b))
     mids = 0.5 * (levels[:-1] + levels[1:])
     cell_lo = np.clip(np.concatenate(([lo], mids)), lo, hi)
     cell_hi = np.clip(np.concatenate((mids, [hi])), lo, hi)
     cell_hi = np.maximum(cell_hi, cell_lo)
-    n = max(9, search.quad_nodes // levels.size) | 1
+    n = max(9, fpq._QUAD_NODES // levels.size) | 1
     t = np.linspace(0.0, 1.0, n)
     x = cell_lo[:, None] + (cell_hi - cell_lo)[:, None] * t[None, :]
     err2 = (levels[:, None] - x) ** 2 * gennorm_pdf(x, dist)
@@ -70,6 +70,16 @@ def per_bias_objective(b, dist, fmt, search=BiasSearchConfig()):
     w[0] = w[-1] = 1.0
     h = (cell_hi - cell_lo) / (n - 1)
     return float((h * (err2 @ w) / 3.0).sum())
+
+
+def elementwise_levels(mant, exp, bias):
+    """Levels one at a time: math.ldexp per bias-0 magnitude, times 2.0 ** bias, mirrored."""
+    mags = []
+    for e in range(2**exp):
+        for f in range(2**mant):
+            mag = math.ldexp(f, -mant) if e == 0 else math.ldexp(2**mant + f, e - 1 - mant)
+            mags.append(mag * 2.0**bias)
+    return [-m for m in reversed(mags[1:])] + mags
 
 
 def laplace_fp4_argmin():
@@ -130,6 +140,26 @@ class TestFormat:
             FP4.with_bias(-1074.0)
         levels = enumerate_levels(FP4.with_bias(-1070.0))
         assert np.all(np.diff(levels) > 0) and levels[-1] > 0
+
+    @pytest.mark.parametrize("mant, exp", [(2, 1), (3, 2), (4, 3)], ids=["fp4", "1-3-2", "1-4-3"])
+    def test_levels_equal_elementwise_construction(self, mant, exp):
+        # non-integer biases, then two whose smallest positive level is
+        # 2^2.3 and 2^3.55 float64 subnormal steps: all levels subnormal
+        for bias in (0.0, 0.37, -2.71, 5.5, mant - 1071.7, mant - 1070.45):
+            levels = enumerate_levels(FpFormat(mant, exp, bias))
+            if bias < -1000:
+                assert 0.0 < levels[levels.size // 2 + 1] and levels[-1] < np.finfo(np.float64).tiny
+            assert np.array_equal(levels, elementwise_levels(mant, exp, bias))
+
+    def test_bias0_grid_overflow_is_a_value_error_not_a_warning(self):
+        # with exp_bits >= 11 the bias-0 magnitudes themselves pass float64's range
+        fpq._unit_grid.cache_clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows"):
+                FpFormat(mant_bits=0, exp_bits=11)
+            with pytest.raises(ValueError, match="overflows"):
+                FpFormat(mant_bits=0, exp_bits=10, bias=2.0)
 
 
 class TestQuantize:

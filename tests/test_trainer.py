@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from co3.datasets import shard_indices, synth_blobs
+from co3.distmodel import GenNormParams
+from co3.entropy import EncodedBlock
 from co3.feedback import replay_memory
-from co3.fpq import FP4, FpFormat
+from co3.fpq import FP4, FpFormat, optimize_bias
 from co3.trainer import (
     DivergenceError,
     Model,
@@ -264,6 +266,22 @@ class TestTrain:
             hist = metrics.history[(0, layer)]
             memory = replay_memory(cfg.gamma, hist[:k]) if k else np.zeros_like(samples)
             assert samples.tobytes() == (cfg.gamma * memory + hist[k][0]).tobytes()
+
+    def test_layer_too_small_to_fit_keeps_its_first_fallback_model(self, small):
+        # hidden=(20,) gives an output layer of 20 * 3 + 3 = 63 values, under
+        # the 100 a fit needs: it gets no fit rows, a narrow Normal at the
+        # first refresh and that same model at the next
+        cfg = TrainConfig(epochs=2, seed=2, batch_size=32, hidden=(20,), keep_fit_samples=True,
+                          keep_streams=True, track_history=True)
+        metrics, _ = train(cfg, small)
+        assert {row[1] for row in metrics.fit_rows} == {0}
+        assert set(metrics.fit_samples) == {(1, 0), (2, 0)}
+        g = metrics.history[(0, 1)][0][0]  # the first quantizer input, memory still zero
+        gn = GenNormParams(2.0, float(np.mean(g)), float(np.std(g)) * math.sqrt(2.0))
+        expected = float(np.float32(optimize_bias(gn, FP4)))
+        blocks = [EncodedBlock.from_bytes(raw) for raw in metrics.streams]
+        assert {b.fmt.bias for b in blocks if b.layer_id == 1} == {expected}
+        assert len({b.fmt.bias for b in blocks if b.layer_id == 0}) == 2
 
     @pytest.mark.parametrize("rebuild", ["epoch", "iteration"])
     def test_one_gradient_pass_per_user_and_round(self, small, monkeypatch, rebuild):

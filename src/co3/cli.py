@@ -38,16 +38,6 @@ def _parse_gammas(value):
     return [float(v) for v in value]
 
 
-def _parse_bool(value):
-    if isinstance(value, bool):
-        return value
-    if str(value).lower() in ("true", "1", "yes"):
-        return True
-    if str(value).lower() in ("false", "0", "no"):
-        return False
-    raise ValueError(f"expected true/false, got {value!r}")
-
-
 def _parse_hidden(value):
     return tuple(int(h) for h in value)
 
@@ -72,11 +62,8 @@ _SETTINGS = {
     "batch_size": _Setting("--batch", int, "batch_size"),
     "fp": _Setting("--fp", _parse_fp, "fmt", help="sign,mant,exp e.g. 1,2,1"),
     "seed": _Setting("--seed", int, "seed"),
-    "include_headers_in_payload": _Setting(
-        "--include-headers-in-payload", _parse_bool, "include_headers", help="true or false"
-    ),
     "quantizer": _Setting("--quantizer", str, "quantizer", help="fp or identity"),
-    "bias_mode": _Setting("--bias-mode", str, "bias_mode", help="optimize, polynomial or fixed"),
+    "bias_mode": _Setting("--bias-mode", str, "bias_mode", help="optimize or polynomial"),
     "shard_mode": _Setting("--shard-mode", str, "shard_mode", help="partition or replicate"),
     "hidden": _Setting(None, _parse_hidden, "hidden"),
     "dataset": _Setting("--dataset", str, default="blobs", help="blobs, cifar10, idx or csv"),
@@ -195,20 +182,17 @@ def cmd_bias_sweep(args):
 def cmd_fit_dist(args):
     rundir = Path(args.run)
     sampledir = rundir / "samples"
-    files = sorted(sampledir.glob("epoch*_layer*.npy"))
-    if not files:
+    samples = []
+    for f in sampledir.glob("epoch*_layer*.npy"):
+        epoch, layer = f.stem.split("_layer")  # epochNNNN_layerL
+        samples.append((int(epoch[5:]), int(layer), f))
+    if not samples:
         raise FileNotFoundError(f"no gradient samples under {sampledir}; run `co3 train` first")
     outpath = Path(args.out) if args.out else rundir / "fits.csv"
-    with open(outpath, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["epoch", "layer", "family", "beta", "mu", "alpha_or_scale", "w2"])
-        for f in files:
-            stem = f.stem  # epochNNNN_layerL
-            epoch = int(stem.split("_")[0][5:])
-            layer = int(stem.split("layer")[1])
-            samples = np.load(f).astype(np.float64)
-            for r in distmodel.fit_all(samples):
-                w.writerow([epoch, layer, r.family, repr(r.beta), repr(r.mu), repr(r.scale), repr(r.w2)])
+    rows = []
+    for epoch, layer, f in sorted(samples):  # numeric order, as co3 train writes its rows
+        rows += trainer.fit_rows(epoch, layer, distmodel.fit_all(np.load(f).astype(np.float64)))
+    trainer.write_fits(outpath, rows)
     print(f"wrote {outpath}")
     return 0
 

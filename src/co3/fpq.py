@@ -51,8 +51,9 @@ class FpFormat:
             raise ValueError("exactly one sign bit is supported")
         if self.mant_bits < 0:
             raise ValueError("mant_bits must be >= 0")
-        if not 1 <= self.exp_bits <= 16:
-            raise ValueError("exp_bits must be in [1, 16]")
+        if not 1 <= self.exp_bits <= 10:
+            # the bias-0 top level is below 2 ** (2 ** exp_bits - 1)
+            raise ValueError("exp_bits must be in [1, 10]: wider bias-0 levels pass 2^1024, which overflows float64")
         if self.mant_bits + self.exp_bits > 15:
             raise ValueError("formats wider than 16 bits total are not supported")
         if not math.isfinite(self.bias):
@@ -86,16 +87,12 @@ class QuantizedTensor:
 
 @lru_cache(maxsize=16)
 def _unit_grid(mant_bits, exp_bits):
-    """(bias-0 levels ascending, tie ranks): rank parity alternates between neighbors.
-
-    Levels past float64's range are inf; ``_levels_at`` rejects them.
-    """
+    """(bias-0 levels ascending, tie ranks): rank parity alternates between neighbors."""
     m, e = mant_bits, exp_bits
     E = np.arange(2**e, dtype=np.float64).repeat(2**m)
     f = np.tile(np.arange(2**m, dtype=np.float64), 2**e)
     frac = 1.0 + f * 2.0**-m
-    with np.errstate(over="ignore"):
-        mags = np.where(E >= 1, frac * 2.0 ** (E - 1.0), f * 2.0**-m)
+    mags = np.where(E >= 1, frac * 2.0 ** (E - 1.0), f * 2.0**-m)
     ranks = np.arange(mags.size, dtype=np.int64)  # = E * 2**m + f
     levels = np.concatenate((-mags[:0:-1], mags))
     tie = np.concatenate((ranks[:0:-1], ranks))

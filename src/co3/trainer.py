@@ -3,22 +3,23 @@
 A from-scratch dense ReLU network is trained by SGD across U users. Each
 round runs in three steps:
 
-1. every user computes its loss and local gradient, once;
+1. every user computes its loss and local gradient, and from it each
+   layer's quantizer input g + gamma * m, once, before any memory moves;
 2. if a refresh is due, the distribution fits, exponent biases and codebooks
-   are rebuilt from this round's quantizer inputs g + gamma * m, read before
-   any memory moves (at the first round of each epoch by default, at every
-   round with ``rebuild="iteration"``);
-3. every user adds the decayed feedback memory to the same gradient,
-   quantizes to the low-bit floating-point grid, Huffman-encodes the symbols,
-   and "uplinks" the block; the server decodes every stream and applies the
-   descent step w <- w - (eta / U) * sum of decoded gradients, reducing in
-   ascending user order so runs are bitwise reproducible.
+   are rebuilt from those inputs, pooled over users (at the first round of
+   each epoch by default, at every round with ``rebuild="iteration"``);
+3. every user quantizes the same inputs to the low-bit floating-point grid,
+   Huffman-encodes the symbols, and "uplinks" the block; the server decodes
+   every stream and applies the descent step
+   w <- w - (eta / U) * sum of decoded gradients, reducing in ascending user
+   order so runs are bitwise reproducible.
 
 RNG discipline: weight init and sharding draw from streams keyed on the run
 seed; user u's minibatch stream is keyed on seed XOR u. All streams are
 disjoint SeedSequence children, so serial and parallel execution agree.
 """
 
+import csv
 import math
 import time
 from dataclasses import dataclass, field, fields
@@ -162,10 +163,8 @@ class TrainConfig:
     fmt: fpq.FpFormat = fpq.FP4
     seed: int = 0
     quantizer: str = "fp"  # "fp" | "identity" (bypasses quantization and coding)
-    bias_mode: str = "optimize"  # "optimize" | "polynomial" | "fixed"
-    fixed_bias: float = 0.0
+    bias_mode: str = "optimize"  # "optimize" | "polynomial"
     rebuild: str = "epoch"  # fit/bias/codebook cadence: "epoch" | "iteration"
-    include_headers: bool = True
     hidden: tuple = (128, 64)
     shard_mode: str = "partition"  # "partition" | "replicate" (identical data + streams)
     track_history: bool = False
@@ -173,15 +172,15 @@ class TrainConfig:
     keep_fit_samples: bool = False
 
     def __post_init__(self):
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
+        if not (math.isfinite(self.eta) and self.eta > 0):
+            raise ValueError(f"eta must be positive and finite, got {self.eta}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
         if self.users < 1 or self.epochs < 0 or self.batch_size < 1:
             raise ValueError("users >= 1, epochs >= 0, batch_size >= 1 required")
         if self.quantizer not in ("fp", "identity"):
             raise ValueError(f"unknown quantizer {self.quantizer!r}")
-        if self.bias_mode not in ("optimize", "polynomial", "fixed"):
+        if self.bias_mode not in ("optimize", "polynomial"):
             raise ValueError(f"unknown bias_mode {self.bias_mode!r}")
         if self.bias_mode == "polynomial" and self.fmt.with_bias(0.0) != fpq.FP4:
             raise ValueError("bias_mode 'polynomial' is fitted for FP4 [1,2,1] only")
@@ -189,6 +188,8 @@ class TrainConfig:
             raise ValueError(f"unknown rebuild cadence {self.rebuild!r}")
         if self.shard_mode not in ("partition", "replicate"):
             raise ValueError(f"unknown shard_mode {self.shard_mode!r}")
+        if not all(h >= 1 for h in self.hidden):
+            raise ValueError(f"hidden layer sizes must be >= 1, got {self.hidden}")
 
 
 @dataclass
@@ -214,19 +215,15 @@ class RunMetrics:
     def final_accuracy(self):
         return self.epoch_rows[-1][3]
 
-    def total_bits(self, include_headers=None):
-        if include_headers is None:
-            include_headers = self.config.include_headers
+    def total_bits(self, include_headers=True):
         return self.ledger.total(include_headers)
 
-    def bits_per_param_per_round(self, include_headers=None):
+    def bits_per_param_per_round(self):
         denom = self.param_count * max(1, self.rounds) * self.config.users
-        return self.total_bits(include_headers) / denom
+        return self.total_bits() / denom
 
     def write(self, outdir):
         """metrics.csv / fits.csv / norms.csv / summary.txt (+ fit samples)."""
-        import csv
-
         out = Path(outdir)
         out.mkdir(parents=True, exist_ok=True)
         with open(out / "metrics.csv", "w", newline="") as fh:
@@ -234,11 +231,7 @@ class RunMetrics:
             w.writerow(["epoch", "gamma", "train_loss", "test_accuracy", "cum_bits"])
             for row in self.epoch_rows:
                 w.writerow([row[0], row[1], repr(row[2]), repr(row[3]), row[4]])
-        with open(out / "fits.csv", "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["epoch", "layer", "family", "beta", "mu", "alpha_or_scale", "w2"])
-            for row in self.fit_rows:
-                w.writerow(row[:3] + tuple(repr(v) for v in row[3:]))
+        write_fits(out / "fits.csv", self.fit_rows)
         with open(out / "norms.csv", "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["epoch", "layer_group", "l1_gradient", "l1_memory"])
@@ -261,6 +254,20 @@ class RunMetrics:
             sampledir.mkdir(exist_ok=True)
             for (epoch, layer), arr in self.fit_samples.items():
                 np.save(sampledir / f"epoch{epoch:04d}_layer{layer}.npy", arr)
+
+
+def fit_rows(epoch, layer, reports):
+    """fits.csv rows (epoch, layer, family, beta, mu, scale, w2) of one layer's fit reports."""
+    return [(epoch, layer, r.family, r.beta, r.mu, r.scale, r.w2) for r in reports]
+
+
+def write_fits(path, rows):
+    """Write fit rows as fits.csv, floats in repr so they read back exactly."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["epoch", "layer", "family", "beta", "mu", "alpha_or_scale", "w2"])
+        for row in rows:
+            w.writerow(row[:3] + tuple(repr(v) for v in row[3:]))
 
 
 _FALLBACK_ALPHA = 1e-8
@@ -295,26 +302,20 @@ class _Codec:
         self.codebooks = None
         self.gennorms = None
 
-    def refresh(self, states, grads, epoch, metrics):
-        """Refit every layer from this round's quantizer inputs g + gamma * m, pooled over users."""
+    def refresh(self, inputs, epoch, metrics):
+        """Refit every layer from this round's quantizer inputs ``inputs[u][layer]``, pooled over users."""
         cfg = self.config
         formats, codebooks, gennorms = [], [], []
-        for layer in range(len(grads[0])):
-            pooled = np.concatenate(
-                [feedback.corrected_input(states[(u, layer)], grads[u][layer]) for u in range(cfg.users)]
-            )
-            samples = _subsample(pooled, FIT_SAMPLE_CAP)
+        for layer in range(len(inputs[0])):
+            samples = _subsample(np.concatenate([user[layer] for user in inputs]), FIT_SAMPLE_CAP)
             reports, gn = _fit_layer(samples, self.gennorms[layer] if self.gennorms else None)
-            for r in reports:
-                metrics.fit_rows.append((epoch, layer, r.family, r.beta, r.mu, r.scale, r.w2))
+            metrics.fit_rows += fit_rows(epoch, layer, reports)
             if reports and cfg.keep_fit_samples:
                 metrics.fit_samples[(epoch, layer)] = samples
             if cfg.bias_mode == "optimize":
                 b = fpq.optimize_bias(gn, cfg.fmt)
-            elif cfg.bias_mode == "polynomial":
-                b = fpq.bias_polynomial(gn.beta, gn.sigma)
             else:
-                b = cfg.fixed_bias
+                b = fpq.bias_polynomial(gn.beta, gn.sigma)
             # f32 so header-derived levels match encoder-side levels exactly
             fmt = cfg.fmt.with_bias(float(np.float32(b)))
             formats.append(fmt)
@@ -323,14 +324,18 @@ class _Codec:
         self.formats, self.codebooks, self.gennorms = formats, codebooks, gennorms
 
 
-def run_round(model, losses, user_grads, states, codec, config, t, metrics, norm_acc):
-    """One synchronous PS round from every user's gradients: EF, encode, uplink, decode, descent."""
+def run_round(model, losses, user_grads, inputs, states, codec, t, metrics, norm_sums):
+    """One synchronous PS round from every user's quantizer inputs: encode, uplink, decode, EF, descent.
+
+    Adds each layer's (l1 gradient, l1 memory) to its row of ``norm_sums``.
+    """
+    config = metrics.config
     bypass = config.quantizer == "identity"
     totals = [np.zeros(model.layer_param_count(l)) for l in range(model.n_layers)]
     for u, grads in enumerate(user_grads):
         for layer, g in enumerate(grads):
             state = states[(u, layer)]
-            v = feedback.corrected_input(state, g)
+            v = inputs[u][layer]
             if bypass:
                 g_hat = v
                 decoded = v
@@ -349,10 +354,7 @@ def run_round(model, losses, user_grads, states, codec, config, t, metrics, norm
             feedback.update(state, g, g_hat)
             if config.track_history:
                 metrics.history.setdefault((u, layer), []).append((g, g_hat))
-            l1_g, l1_m = feedback.norms(state, g)
-            norm_acc[layer][0] += l1_g
-            norm_acc[layer][1] += l1_m
-            norm_acc[layer][2] += 1
+            norm_sums[layer] += feedback.norms(state, g)
             totals[layer] += decoded
     loss_mean = float(np.mean(losses))
     if not math.isfinite(loss_mean):
@@ -382,6 +384,8 @@ def train(config, dataset):
             np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
             for _ in range(config.users)
         ]
+    if min(s.size for s in shards) == 0:
+        raise ValueError(f"{config.users} users need at least one training sample each, got {n_train} samples")
 
     states = {
         (u, layer): feedback.init_state(model.layer_param_count(layer), config.gamma)
@@ -408,37 +412,35 @@ def train(config, dataset):
             for u in range(config.users)
         ]
         rounds = min(len(b) for b in all_batches)
-        norm_acc = [[0.0, 0.0, 0] for _ in range(model.n_layers)]
+        norm_sums = np.zeros((model.n_layers, 2))
         epoch_losses = []
         for r in range(rounds):
             idxs = [shards[u][all_batches[u][r]] for u in range(config.users)]
             losses, grads = zip(*(model.loss_and_grads(dataset.x_train[i], dataset.y_train[i]) for i in idxs))
+            inputs = [
+                [feedback.corrected_input(states[(u, layer)], g) for layer, g in enumerate(grads[u])]
+                for u in range(config.users)
+            ]
             if not bypass and (r == 0 or config.rebuild == "iteration"):
-                codec.refresh(states, grads, epoch, metrics)
-            loss = run_round(model, losses, grads, states, codec, config, t, metrics, norm_acc)
+                codec.refresh(inputs, epoch, metrics)
+            loss = run_round(model, losses, grads, inputs, states, codec, t, metrics, norm_sums)
             epoch_losses.append(loss)
             metrics.round_losses.append(loss)
             t += 1
         metrics.rounds = t
-        group_acc = {}
-        for layer in range(model.n_layers):
-            g_sum, m_sum, count = norm_acc[layer]
-            group = layer_group(layer, model.n_layers)
-            acc = group_acc.setdefault(group, [0.0, 0.0, 0])
-            acc[0] += g_sum
-            acc[1] += m_sum
-            acc[2] += count
         for group in LAYER_GROUPS:
-            if group in group_acc:
-                g_sum, m_sum, count = group_acc[group]
-                metrics.norm_rows.append((epoch, group, g_sum / count, m_sum / count))
+            members = [l for l in range(model.n_layers) if layer_group(l, model.n_layers) == group]
+            if members:
+                g_sum, m_sum = norm_sums[members].sum(axis=0)
+                count = len(members) * rounds * config.users
+                metrics.norm_rows.append((epoch, group, float(g_sum / count), float(m_sum / count)))
         metrics.epoch_rows.append(
             (
                 epoch,
                 config.gamma,
                 float(np.mean(epoch_losses)),
                 model.accuracy(dataset.x_test, dataset.y_test),
-                metrics.ledger.total(config.include_headers),
+                metrics.total_bits(),
             )
         )
 

@@ -71,6 +71,24 @@ class TestTrain:
         assert code != 0
         assert "unknown config keys" in capsys.readouterr().err
 
+    def test_hidden_size_a_model_cannot_build_fails_typed(self, tmp_path, capsys):
+        cfg = _small_blobs_config(tmp_path, extra={"hidden": [0]})
+        code = run_cli(["train", "--config", str(cfg), "--epochs", "1", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "error: hidden layer sizes" in capsys.readouterr().err
+
+    def test_fixed_bias_mode_is_gone(self, tmp_path, capsys):
+        code = run_cli(["train", "--bias-mode", "fixed", "--epochs", "1", "--out", str(tmp_path / "o"),
+                        "--config", str(_small_blobs_config(tmp_path))])
+        assert code == 1
+        assert "error: unknown bias_mode 'fixed'" in capsys.readouterr().err
+
+    def test_include_headers_key_is_gone(self, tmp_path, capsys):
+        cfg = _small_blobs_config(tmp_path, extra={"include_headers_in_payload": False})
+        code = run_cli(["train", "--config", str(cfg), "--epochs", "1", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "unknown config keys: include_headers_in_payload" in capsys.readouterr().err
+
     def test_flag_overrides_config_file(self, tmp_path):
         out = tmp_path / "prec"
         cfg = _small_blobs_config(tmp_path, extra={"epochs": 3})
@@ -140,19 +158,27 @@ class TestBiasSweep:
 class TestFitDist:
     def test_refits_from_saved_samples(self, tmp_path):
         out = tmp_path / "run"
-        run_cli(["train", "--epochs", "1", "--out", str(out),
+        run_cli(["train", "--epochs", "2", "--out", str(out),
                  "--config", str(_small_blobs_config(tmp_path))])
         fits = out / "fits.csv"
         regenerated = out / "fits2.csv"
         code = run_cli(["fit-dist", str(out), "--out", str(regenerated)])
         assert code == 0
-        original = {(r["epoch"], r["layer"], r["family"]): r["w2"]
-                    for r in csv.DictReader(open(fits))}
-        redone = {(r["epoch"], r["layer"], r["family"]): r["w2"]
-                  for r in csv.DictReader(open(regenerated))}
-        assert original == redone
-        families = {k[2] for k in redone}
-        assert families == {"normal", "laplace", "gennorm"}
+        assert regenerated.read_bytes() == fits.read_bytes()
+        rows = list(csv.DictReader(open(regenerated)))
+        assert {r["epoch"] for r in rows} == {"1", "2"}
+        assert {r["family"] for r in rows} == {"normal", "laplace", "gennorm"}
+
+    def test_rows_follow_numeric_layer_order(self, tmp_path):
+        # a stack of 11 or more layers: layer 10's file name sorts before layer 2's
+        sampledir = tmp_path / "samples"
+        sampledir.mkdir()
+        rng = np.random.default_rng(4)
+        for layer in (2, 10):
+            np.save(sampledir / f"epoch0001_layer{layer}.npy", rng.normal(0, 0.01, 1000))
+        out = tmp_path / "fits.csv"
+        assert run_cli(["fit-dist", str(tmp_path), "--out", str(out)]) == 0
+        assert [r["layer"] for r in csv.DictReader(open(out))] == ["2"] * 3 + ["10"] * 3
 
     def test_missing_artifacts(self, tmp_path, capsys):
         code = run_cli(["fit-dist", str(tmp_path)])

@@ -131,6 +131,13 @@ class TestFormat:
             for fmt in (FpFormat(mant_bits=0, exp_bits=10, bias=1.0), FP4.with_bias(1023.0)):
                 assert np.all(np.isfinite(enumerate_levels(fmt)))
 
+    @pytest.mark.parametrize("exp_bits", [11, 16])
+    def test_exponent_range_is_declared(self, exp_bits):
+        # past 10 exponent bits the bias-0 grid leaves float64, whatever the bias
+        for bias in (0.0, -1050.0):
+            with pytest.raises(ValueError, match=r"exp_bits must be in \[1, 10\].*float64"):
+                FpFormat(mant_bits=0, exp_bits=exp_bits, bias=bias)
+
     def test_formats_whose_levels_underflow_rejected(self):
         # 2^-1100 is 0.0 in float64, so every level would be +-0
         with pytest.raises(ValueError, match="underflow"):

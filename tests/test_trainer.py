@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from co3 import feedback
 from co3.datasets import shard_indices, synth_blobs
 from co3.distmodel import GenNormParams
 from co3.entropy import EncodedBlock
@@ -150,6 +151,16 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(users=0)
 
+    @pytest.mark.parametrize("hidden", [(0,), (-3,), (16, 0)])
+    def test_rejects_hidden_sizes_a_model_cannot_build(self, hidden):
+        with pytest.raises(ValueError, match="hidden layer sizes"):
+            TrainConfig(hidden=hidden)
+
+    @pytest.mark.parametrize("eta", [math.nan, math.inf])
+    def test_rejects_a_non_finite_learning_rate(self, eta):
+        with pytest.raises(ValueError, match="eta must be positive and finite"):
+            TrainConfig(eta=eta)
+
 
 class TestTrain:
     def test_zero_epochs_returns_initial_metrics(self, blobs):
@@ -296,3 +307,24 @@ class TestTrain:
         metrics, _ = train(TrainConfig(epochs=2, users=2, seed=1, batch_size=32, rebuild=rebuild), small)
         assert metrics.rounds > 0
         assert len(calls) == metrics.rounds * 2
+
+    @pytest.mark.parametrize("rebuild", ["epoch", "iteration"])
+    def test_one_quantizer_input_per_user_layer_and_round(self, small, monkeypatch, rebuild):
+        # the refresh fits the same g + gamma * m arrays that the round then quantizes
+        calls = []
+        original = feedback.corrected_input
+
+        def counting(state, g):
+            calls.append(g.size)
+            return original(state, g)
+
+        monkeypatch.setattr(feedback, "corrected_input", counting)
+        metrics, model = train(TrainConfig(epochs=2, users=2, seed=1, batch_size=32, rebuild=rebuild), small)
+        assert metrics.rounds > 0
+        assert len(calls) == metrics.rounds * 2 * model.n_layers
+
+    def test_more_users_than_samples_fails_typed(self):
+        # an empty shard gives zero rounds, and nothing to average per epoch
+        tiny = synth_blobs(40, 3, 6, seed=1, n_test=10)
+        with pytest.raises(ValueError, match="at least one training sample each"):
+            train(TrainConfig(users=50, epochs=1, hidden=(8,)), tiny)

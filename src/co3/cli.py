@@ -90,8 +90,12 @@ def _load_config_file(path):
     return doc
 
 
+def _default(setting):
+    return _CONFIG_DEFAULTS[setting.field] if setting.field else setting.default
+
+
 def _resolve_settings(args):
-    settings = {key: _CONFIG_DEFAULTS[s.field] if s.field else s.default for key, s in _SETTINGS.items()}
+    settings = {key: _default(s) for key, s in _SETTINGS.items()}
     if args.config:
         settings.update(_load_config_file(args.config))
     for key in _SETTINGS:
@@ -100,7 +104,20 @@ def _resolve_settings(args):
             settings[key] = flag
     if os.environ.get("CO3_OUT"):
         settings["out"] = os.environ["CO3_OUT"]
-    return {key: None if v is None else _SETTINGS[key].parse(v) for key, v in settings.items()}
+    return {key: _parse_setting(key, v) for key, v in settings.items()}
+
+
+def _parse_setting(key, value):
+    """``value`` parsed for setting ``key``; a JSON value of the wrong type is a ValueError naming it."""
+    setting = _SETTINGS[key]
+    if value is None:
+        if _default(setting) is not None:
+            raise ValueError(f"setting {key!r} must not be null")
+        return None
+    try:
+        return setting.parse(value)
+    except TypeError as exc:
+        raise ValueError(f"setting {key!r} has the wrong type: {exc}") from None
 
 
 def _build_dataset(settings):

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._minimize import grid_then_golden
+from ._minimize import bounded_scores, grid_then_golden
 
 BETA_SEARCH_RANGE = (0.1, 5.0)
 MIN_FIT_SAMPLES = 100
@@ -211,15 +211,21 @@ def _lower_gamma_inv(s, p, pc):
 # GenNorm density / CDF / quantiles
 
 
-def gennorm_logpdf(x, params):
+def gennorm_logpdf(x, params, out=None):
+    """Log density at ``x``; ``out``, an array of x's shape, receives it if given."""
     x = np.asarray(x, dtype=np.float64)
     b, a = params.beta, params.alpha
     lognorm = math.log(b) - math.log(2.0 * a) - math.lgamma(1.0 / b)
-    return lognorm - (np.abs(x - params.mu) / a) ** b
+    z = np.subtract(x, params.mu, out=np.empty_like(x) if out is None else out)
+    np.abs(z, out=z)
+    z /= a
+    z **= b
+    return np.subtract(lognorm, z, out=z)[()]  # [()]: a scalar for a scalar x
 
 
-def gennorm_pdf(x, params):
-    return np.exp(gennorm_logpdf(x, params))
+def gennorm_pdf(x, params, out=None):
+    """Density at ``x``; ``out``, an array of x's shape, receives it if given."""
+    return np.exp(gennorm_logpdf(x, params, out), out=out)
 
 
 def gennorm_cdf(x, params):
@@ -301,31 +307,72 @@ def profile_alpha(beta, deviations):
     return float((beta * np.mean(deviations**beta)) ** (1.0 / beta))
 
 
+def _neg_profile_loglik(beta, log_alpha):
+    # per-sample profile log-likelihood: ln b - ln 2 - ln a - lgamma(1/b) - 1/b
+    return -(math.log(beta) - math.log(2.0) - log_alpha - math.lgamma(1.0 / beta) - 1.0 / beta)
+
+
+def _secant_floor(x, xs, ys):
+    """Lower bound at each ``x`` on a convex function known at the ascending ``xs``.
+
+    For x between xs[k] and xs[k+1], the secants through (xs[k-1], xs[k]) and
+    (xs[k+1], xs[k+2]), extended to x, both lie below the function there;
+    the larger is returned, -inf where neither exists, NaN where ``ys`` is
+    not finite.
+    """
+    k = np.clip(np.searchsorted(xs, x, side="right") - 1, 0, xs.size - 2)
+    with np.errstate(invalid="ignore"):
+        slope = np.diff(ys) / np.diff(xs)
+        left = np.where(k >= 1, ys[k] + slope[k - 1] * (x - xs[k]), -np.inf)
+        right_k = np.minimum(k + 1, slope.size - 1)
+        right = np.where(k + 2 < xs.size, ys[k + 1] + slope[right_k] * (x - xs[k + 1]), -np.inf)
+    return np.maximum(left, right)
+
+
 def fit_gennorm(samples):
     """GenNorm MLE with mu pinned to the sample mean and alpha profiled out.
 
     The shape parameter comes from a bounded 1-D search of the profile
     log-likelihood over ``beta in [0.1, 5]`` (coarse grid plus golden-section
     refinement), which keeps the fit deterministic for a fixed input.
+
+    Only the grid points that can hold the grid minimum are scored, each by
+    one pass over the sample. Every 4th point is scored first. M(beta) =
+    mean|x-mu|^beta is log-convex (Hoelder's inequality), so the neighbouring
+    secants of log M at those points, extended, bound log M from below at the
+    others; the negative profile log-likelihood rises with log M (with
+    coefficient 1/beta), so they bound it too. The other points are scored
+    in ascending order of that bound until none left is below the best score
+    (``_minimize.bounded_scores``), and the grid argmin, hence the result,
+    is the one the full grid gives. Each score's ``profile_alpha`` call gives
+    log M = beta ln(alpha) - ln(beta) as well, so bounding costs no pass.
     """
     x = _check_sample(samples)
     mu = float(np.mean(x))
     dev = np.abs(x - mu)
 
-    def neg_profile_loglik(beta):
-        alpha = profile_alpha(beta, dev)
-        # per-sample profile log-likelihood: ln b - ln 2 - ln a - lgamma(1/b) - 1/b
-        return -(
-            math.log(beta)
-            - math.log(2.0)
-            - math.log(alpha)
-            - math.lgamma(1.0 / beta)
-            - 1.0 / beta
-        )
+    def profile(beta):
+        """(negative profile log-likelihood, log M) at ``beta``; alpha^beta = beta M."""
+        log_alpha = math.log(profile_alpha(beta, dev))
+        return _neg_profile_loglik(beta, log_alpha), beta * log_alpha - math.log(beta)
 
     # geometric coarse grid: the likelihood varies on a log scale in beta
     grid = np.geomspace(*BETA_SEARCH_RANGE, 61)
-    beta = grid_then_golden(neg_profile_loglik, grid, [neg_profile_loglik(b) for b in grid], 1e-7)
+    nll = np.full(grid.size, np.nan)
+    log_m = np.full(grid.size, np.nan)
+
+    def score(idx):
+        for i in idx:
+            if np.isnan(nll[i]):
+                nll[i], log_m[i] = profile(grid[i])
+        return nll[idx]
+
+    first = np.arange(0, grid.size, 4)
+    score(first)
+    floor = _secant_floor(grid, grid[first], log_m[first])
+    bounds = [_neg_profile_loglik(b, (math.log(b) + m) / b) for b, m in zip(grid, floor)]
+    bounds = np.where(np.isnan(nll), bounds, nll)
+    beta = grid_then_golden(lambda b: profile(b)[0], grid, bounded_scores(score, bounds), 1e-7)
     return GenNormParams(beta, mu, profile_alpha(beta, dev))
 
 

@@ -16,8 +16,10 @@ error under a fitted GenNorm gradient model, evaluated by deterministic
 composite quadrature over mu +- 16 sigma (``optimize_bias``).
 ``bias_objective`` takes an array of biases and scores them in vectorized
 passes of at most 32k quadrature nodes, so no format or grid is built per
-bias. ``optimize_bias`` scores its 161-point grid in one such call, then
-refines by golden section. ``bias_polynomial`` is a cheap
+bias. ``optimize_bias`` bounds each bias of its 161-point grid from below by
+the quadrature over three cells only, scores the biases whose bound does not
+rule them out, one pass at a time, then refines by golden section; the
+result is the full grid's. ``bias_polynomial`` is a cheap
 quartic in the shape parameter, least-squares fitted to that optimum for the
 FP4 ``[1,2,1]`` format under a unit-variance GenNorm and shifted by
 log2(sigma) for other scales; it holds to within about 0.011 for beta in
@@ -31,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._minimize import grid_then_golden
+from ._minimize import bounded_scores, grid_then_golden
 from .distmodel import GenNormParams, gennorm_pdf
 
 log = logging.getLogger(__name__)
@@ -218,6 +220,49 @@ def _bias_quadrature(mant_bits, exp_bits):
     return t, w
 
 
+def _pass_rows(fmt, cells):
+    """Biases per vectorized pass of ``cells`` quadrature cells each."""
+    n = _bias_quadrature(fmt.mant_bits, fmt.exp_bits)[0].size
+    return max(1, _PASS_NODES // (cells * n))
+
+
+def _cell_errors(biases, dist, fmt, cells=None):
+    """Simpson's rule for E[(Q_b(G) - G)^2] by bias (rows) and quantizer cell (columns).
+
+    ``cells`` selects the columns (default: all). Every entry is
+    non-negative, so any subset of a row sums to at most the row's objective.
+    Biases are taken in passes of at most ``_PASS_NODES`` nodes; each pass
+    writes into the same three (rows, cells, nodes) buffers.
+    """
+    t, w = _bias_quadrature(fmt.mant_bits, fmt.exp_bits)
+    n = t.size
+    lo = dist.mu - _QUAD_SPAN_SIGMAS * dist.sigma
+    hi = dist.mu + _QUAD_SPAN_SIGMAS * dist.sigma
+    cells = np.arange(fmt.level_count) if cells is None else np.asarray(cells)
+    width = cells.size
+    rows = _pass_rows(fmt, width)
+    out = np.empty((biases.size, width))
+    bufs = [np.empty((min(rows, biases.size), width, n)) for _ in range(3)]
+    for a in range(0, biases.size, rows):
+        levels = _levels_at(fmt.mant_bits, fmt.exp_bits, biases[a : a + rows])
+        mids = 0.5 * (levels[:, :-1] + levels[:, 1:])
+        ends = [np.full((mids.shape[0], 1), v) for v in (lo, hi)]
+        edges = np.concatenate((ends[0], mids, ends[1]), axis=1).clip(lo, hi)
+        cell_lo = edges[:, :-1]
+        cell_hi = np.maximum(edges[:, 1:], cell_lo)[:, cells]
+        cell_lo, levels = cell_lo[:, cells], levels[:, cells]
+        x, pdf, err2 = (buf[: levels.shape[0]] for buf in bufs)
+        np.multiply((cell_hi - cell_lo)[..., None], t, out=x)
+        x += cell_lo[..., None]
+        gennorm_pdf(x, dist, out=pdf)
+        np.subtract(levels[..., None], x, out=err2)
+        err2 **= 2
+        err2 *= pdf
+        h = (cell_hi - cell_lo) / (n - 1)
+        out[a : a + rows] = h * (err2 @ w) / 3.0
+    return out
+
+
 def bias_objective(b, dist, fmt, search=BiasSearchConfig()):
     """Expected squared quantization error E[(Q_b(G) - G)^2] by composite quadrature.
 
@@ -235,24 +280,7 @@ def bias_objective(b, dist, fmt, search=BiasSearchConfig()):
     most ``_PASS_NODES`` quadrature nodes (8 biases on FP4).
     """
     biases = np.asarray(b, dtype=np.float64)
-    flat = biases.ravel()
-    t, w = _bias_quadrature(fmt.mant_bits, fmt.exp_bits)
-    n = t.size
-    lo = dist.mu - _QUAD_SPAN_SIGMAS * dist.sigma
-    hi = dist.mu + _QUAD_SPAN_SIGMAS * dist.sigma
-    out = np.empty(flat.size)
-    rows = max(1, _PASS_NODES // (fmt.level_count * n))
-    for a in range(0, flat.size, rows):
-        levels = _levels_at(fmt.mant_bits, fmt.exp_bits, flat[a : a + rows])
-        mids = 0.5 * (levels[:, :-1] + levels[:, 1:])
-        ends = [np.full((mids.shape[0], 1), v) for v in (lo, hi)]
-        edges = np.concatenate((ends[0], mids, ends[1]), axis=1).clip(lo, hi)
-        cell_lo = edges[:, :-1]
-        cell_hi = np.maximum(edges[:, 1:], cell_lo)
-        x = cell_lo[..., None] + (cell_hi - cell_lo)[..., None] * t
-        err2 = (levels[..., None] - x) ** 2 * gennorm_pdf(x, dist)
-        h = (cell_hi - cell_lo) / (n - 1)
-        out[a : a + rows] = (h * (err2 @ w) / 3.0).sum(axis=1)
+    out = _cell_errors(biases.ravel(), dist, fmt).sum(axis=1)
     return float(out[0]) if biases.ndim == 0 else out.reshape(biases.shape)
 
 
@@ -261,10 +289,17 @@ def optimize_bias(dist, fmt, search=BiasSearchConfig()):
 
     The search runs on the unit-variance member of the scale family (levels
     scale as 2**bias, so rescaling the distribution by s shifts the optimum by
-    exactly log2(s)) and the result is shifted back by log2(sigma). The
-    161-point grid is scored by one array call of ``bias_objective``, in its
-    vectorized passes; golden section then refines the grid argmin between
-    its neighbors, one scalar call per step.
+    exactly log2(s)) and the result is shifted back by log2(sigma).
+
+    Each bias of the 161-point grid is first bounded from below by its
+    Simpson terms over the two outer cells and the zero-level cell alone,
+    which is cheap and separates saturation from underflow. The biases are
+    then scored by ``bias_objective``, one vectorized pass at a time, in
+    ascending order of their bounds, until no bound left is below the best
+    score (``_minimize.bounded_scores``); the others cannot be the grid
+    argmin. Golden section then refines the grid argmin between its
+    neighbors, one scalar call per step, so the result is the one the full
+    grid gives.
     """
     if dist.alpha < _ALPHA_FLOOR:
         log.warning(
@@ -280,7 +315,10 @@ def optimize_bias(dist, fmt, search=BiasSearchConfig()):
         return bias_objective(b, unit, fmt)
 
     grid = np.arange(search.grid_lo, search.grid_hi + 0.5 * search.grid_step, search.grid_step)
-    b_unit = grid_then_golden(objective, grid, objective(grid), search.tol)
+    top = fmt.level_count - 1
+    bounds = _cell_errors(grid, unit, fmt, cells=[0, top // 2, top]).sum(axis=1)
+    values = bounded_scores(lambda i: objective(grid[i]), bounds, _pass_rows(fmt, fmt.level_count))
+    b_unit = grid_then_golden(objective, grid, values, search.tol)
     return float(b_unit + math.log2(sigma))
 
 

@@ -77,6 +77,18 @@ class TestTrain:
         assert code == 1
         assert "error: hidden layer sizes" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra, message", [
+        ({"hidden": 5}, "setting 'hidden' has the wrong type"),
+        ({"epochs": None}, "setting 'epochs' must not be null"),
+        ({"eta": [1]}, "setting 'eta' has the wrong type"),
+        ({"blobs_n": None}, "setting 'blobs_n' must not be null"),
+    ], ids=["hidden-int", "epochs-null", "eta-list", "blobs_n-null"])
+    def test_config_value_of_the_wrong_type_fails_typed(self, tmp_path, capsys, extra, message):
+        cfg = _small_blobs_config(tmp_path, extra=extra)
+        code = run_cli(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
     def test_fixed_bias_mode_is_gone(self, tmp_path, capsys):
         code = run_cli(["train", "--bias-mode", "fixed", "--epochs", "1", "--out", str(tmp_path / "o"),
                         "--config", str(_small_blobs_config(tmp_path))])

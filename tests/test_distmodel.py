@@ -8,6 +8,7 @@ import scipy.special
 import scipy.stats
 
 from co3 import distmodel
+from co3._minimize import grid_then_golden
 from co3.distmodel import (
     DegenerateSampleError,
     GenNormParams,
@@ -31,6 +32,21 @@ from co3.fpq import FP4
 def unit_variance(beta, mu=0.0):
     alpha = math.sqrt(math.exp(math.lgamma(1 / beta) - math.lgamma(3 / beta)))
     return GenNormParams(beta, mu, alpha)
+
+
+def full_grid_fit_gennorm(samples):
+    """fit_gennorm before it bounded its shape grid: every grid shape gets a profile_alpha pass."""
+    x = np.asarray(samples, dtype=np.float64).ravel()
+    mu = float(np.mean(x))
+    dev = np.abs(x - mu)
+
+    def neg_profile_loglik(beta):
+        alpha = profile_alpha(beta, dev)
+        return -(math.log(beta) - math.log(2.0) - math.log(alpha) - math.lgamma(1.0 / beta) - 1.0 / beta)
+
+    grid = np.geomspace(*distmodel.BETA_SEARCH_RANGE, 61)
+    beta = grid_then_golden(neg_profile_loglik, grid, [neg_profile_loglik(b) for b in grid], 1e-7)
+    return GenNormParams(beta, mu, profile_alpha(beta, dev))
 
 
 class TestIncompleteGamma:
@@ -210,6 +226,33 @@ class TestFits:
         da_rel = alphas[1] / alphas[0]
         assert abs(fit.beta - betas[bi]) <= db
         assert alphas[ai] / da_rel <= fit.alpha <= alphas[ai] * da_rel
+
+
+    @pytest.mark.parametrize("n", [100, 1000, 33_024])
+    @pytest.mark.parametrize("beta", [0.2, 0.5, 1.0, 2.0, 4.0])
+    def test_bounded_shape_grid_gives_the_full_grid_fit(self, n, beta):
+        rng = np.random.default_rng(int(100 * beta) + n)
+        for mu, alpha in [(0.0, 1.0), (0.01, 3e-4), (-20.0, 50.0)]:
+            x = sample_gennorm(GenNormParams(beta, mu, alpha), n, rng)
+            assert fit_gennorm(x) == full_grid_fit_gennorm(x)
+
+    def test_bounded_shape_grid_on_ties_and_zero_deviations(self):
+        rng = np.random.default_rng(14)
+        samples = [
+            np.round(rng.laplace(0, 2, 5000)),  # many ties
+            np.r_[np.zeros(300), np.ones(100), -np.ones(100)],  # deviations include zeros
+            np.r_[np.ones(200), -np.ones(200)],  # one deviation: log M is linear in beta
+            np.r_[np.zeros(500), 3.0, rng.normal(size=200)],
+        ]
+        for x in samples:
+            assert fit_gennorm(x) == full_grid_fit_gennorm(x)
+
+    def test_bounded_shape_grid_saves_passes(self, monkeypatch):
+        calls = []
+        raw = distmodel.profile_alpha
+        monkeypatch.setattr(distmodel, "profile_alpha", lambda *args: calls.append(args[0]) or raw(*args))
+        fit_gennorm(np.random.default_rng(15).laplace(0, 1, 33_024))
+        assert len(calls) <= 60
 
 
 class TestW2:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from co3 import fpq
+from co3._minimize import grid_then_golden
 from co3.distmodel import GenNormParams, gennorm_pdf, sample_gennorm
 from co3.fpq import (
     FP4,
@@ -70,6 +71,18 @@ def per_bias_objective(b, dist, fmt):
     w[0] = w[-1] = 1.0
     h = (cell_hi - cell_lo) / (n - 1)
     return float((h * (err2 @ w) / 3.0).sum())
+
+
+def full_grid_optimize_bias(dist, fmt, search=BiasSearchConfig()):
+    """optimize_bias before it bounded its grid: every grid bias gets a full score."""
+    sigma = dist.sigma
+    unit = GenNormParams(dist.beta, dist.mu / sigma, dist.alpha / sigma)
+
+    def objective(b):
+        return bias_objective(b, unit, fmt)
+
+    grid = np.arange(search.grid_lo, search.grid_hi + 0.5 * search.grid_step, search.grid_step)
+    return float(grid_then_golden(objective, grid, objective(grid), search.tol) + math.log2(sigma))
 
 
 def elementwise_levels(mant, exp, bias):
@@ -311,6 +324,28 @@ class TestBias:
         assert type(bias_objective(grid[7], dist, fmt)) is float
         assert bias_objective(grid[7], dist, fmt) == ref[7]
         assert np.array_equal(bias_objective(grid[:6].reshape(2, 3), dist, fmt), ref[:6].reshape(2, 3))
+
+    @pytest.mark.parametrize("beta", [0.25, 0.5, 0.9, 1.4, 2.0, 3.0])
+    @pytest.mark.parametrize(
+        "fmt", [FP4, FpFormat(3, 2), FpFormat(3, 3), FpFormat(4, 3)], ids=["fp4", "1-3-2", "1-3-3", "1-4-3"]
+    )
+    def test_bounded_grid_gives_the_full_grid_bias(self, fmt, beta):
+        for mu, sigma in [(0.0, 1.0), (0.02, 1.3), (-3e-4, 2e-3), (5.0, 40.0)]:
+            dist = unit_variance_gennorm(beta, sigma=sigma, mu=mu)
+            assert optimize_bias(dist, fmt) == full_grid_optimize_bias(dist, fmt)
+
+    def test_bounded_grid_scores_a_fraction_of_the_biases(self, monkeypatch):
+        scored = []
+        raw = fpq.bias_objective
+
+        def counted(b, *args):
+            if np.ndim(b):  # grid scores; golden steps are scalar calls
+                scored.extend(np.ravel(b))
+            return raw(b, *args)
+
+        monkeypatch.setattr(fpq, "bias_objective", counted)
+        optimize_bias(unit_variance_gennorm(1.0), FP4)
+        assert len(scored) == len(set(scored)) <= 40
 
     def test_optimize_bias_builds_no_grid_per_bias(self):
         fmt = FpFormat(mant_bits=3, exp_bits=1)

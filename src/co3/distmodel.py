@@ -346,14 +346,26 @@ def fit_gennorm(samples):
     (``_minimize.bounded_scores``), and the grid argmin, hence the result,
     is the one the full grid gives. Each score's ``profile_alpha`` call gives
     log M = beta ln(alpha) - ln(beta) as well, so bounding costs no pass.
+
+    A sample with no spread raises ``DegenerateSampleError``: one whose
+    standard deviation or mean absolute deviation from the median is zero
+    (``fit_all`` reports both spreads and relies on these checks), and one
+    so narrow that M(beta) underflows to zero at a scored shape.
     """
     x = _check_sample(samples)
+    if fit_normal(x)[1] == 0.0:
+        raise DegenerateSampleError("zero standard deviation")
+    if fit_laplace(x)[1] == 0.0:
+        raise DegenerateSampleError("zero mean absolute deviation")
     mu = float(np.mean(x))
     dev = np.abs(x - mu)
 
     def profile(beta):
         """(negative profile log-likelihood, log M) at ``beta``; alpha^beta = beta M."""
-        log_alpha = math.log(profile_alpha(beta, dev))
+        alpha = profile_alpha(beta, dev)
+        if alpha == 0.0:
+            raise DegenerateSampleError(f"mean |x - mu|^{beta:.4g} underflows to zero")
+        log_alpha = math.log(alpha)
         return _neg_profile_loglik(beta, log_alpha), beta * log_alpha - math.log(beta)
 
     # geometric coarse grid: the likelihood varies on a log scale in beta
@@ -409,14 +421,14 @@ def w2_distance(samples, model):
 
 
 def fit_all(samples):
-    """Fit all three families and score each with W2; order: normal, laplace, gennorm."""
-    mean, sd = fit_normal(samples)
-    if sd == 0.0:
-        raise DegenerateSampleError("zero standard deviation")
-    med, div = fit_laplace(samples)
-    if div == 0.0:
-        raise DegenerateSampleError("zero mean absolute deviation")
+    """Fit all three families and score each with W2; order: normal, laplace, gennorm.
+
+    Raises what ``fit_gennorm`` raises, zero spread included, so a sample
+    that one of them rejects the other rejects too.
+    """
     gn = fit_gennorm(samples)
+    mean, sd = fit_normal(samples)
+    med, div = fit_laplace(samples)
     fits = [
         FitReport("normal", 2.0, mean, sd, math.nan),
         FitReport("laplace", 1.0, med, div, math.nan),

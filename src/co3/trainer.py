@@ -5,9 +5,11 @@ round runs in three steps:
 
 1. every user computes its loss and local gradient, and from it each
    layer's quantizer input g + gamma * m, once, before any memory moves;
-2. if a refresh is due, the distribution fits, exponent biases and codebooks
-   are rebuilt from those inputs, pooled over users (at the first round of
-   each epoch by default, at every round with ``rebuild="iteration"``);
+2. if a refresh is due, the GenNorm fit, exponent biases and codebooks are
+   rebuilt from those inputs, pooled over users (at the first round of each
+   epoch by default, at every round with ``rebuild="iteration"``); the
+   epoch's first refresh also fits the Normal and Laplace models and scores
+   all three with W2 for ``fits.csv``, and only its sample is kept;
 3. every user quantizes the same inputs to the low-bit floating-point grid,
    Huffman-encodes the symbols, and "uplinks" the block; the server decodes
    every stream and applies the descent step
@@ -16,7 +18,7 @@ round runs in three steps:
 
 RNG discipline: weight init and sharding draw from streams keyed on the run
 seed; user u's minibatch stream is keyed on seed XOR u. All streams are
-disjoint SeedSequence children, so serial and parallel execution agree.
+disjoint SeedSequence children.
 """
 
 import csv
@@ -281,9 +283,18 @@ def _subsample(values, cap):
     return values[idx]
 
 
-def _fit_layer(samples, previous):
-    """(fit reports, GenNorm); a degenerate layer gets no reports and the last GenNorm or a narrow Normal."""
+def _fit_layer(samples, previous, score_families):
+    """(fit reports, GenNorm) of one layer.
+
+    With ``score_families`` all three families are fitted and scored by W2;
+    otherwise only the GenNorm is, and there are no reports. ``fit_gennorm``
+    raises the typed errors that ``fit_all`` does, so a degenerate layer
+    falls back alike on both paths: no reports, and the last GenNorm or a
+    narrow Normal.
+    """
     try:
+        if not score_families:
+            return [], distmodel.fit_gennorm(samples)
         reports = distmodel.fit_all(samples)
     except (distmodel.DegenerateSampleError, distmodel.InsufficientDataError):
         if previous is not None:
@@ -302,13 +313,19 @@ class _Codec:
         self.codebooks = None
         self.gennorms = None
 
-    def refresh(self, inputs, epoch, metrics):
-        """Refit every layer from this round's quantizer inputs ``inputs[u][layer]``, pooled over users."""
+    def refresh(self, inputs, epoch, metrics, first_of_epoch):
+        """Refit every layer from this round's quantizer inputs ``inputs[u][layer]``, pooled over users.
+
+        Only the epoch's first refresh scores the three families, adds fit
+        rows and keeps fit samples; every refresh refits the GenNorm that
+        the bias and codebook come from.
+        """
         cfg = self.config
         formats, codebooks, gennorms = [], [], []
         for layer in range(len(inputs[0])):
             samples = _subsample(np.concatenate([user[layer] for user in inputs]), FIT_SAMPLE_CAP)
-            reports, gn = _fit_layer(samples, self.gennorms[layer] if self.gennorms else None)
+            previous = self.gennorms[layer] if self.gennorms else None
+            reports, gn = _fit_layer(samples, previous, first_of_epoch)
             metrics.fit_rows += fit_rows(epoch, layer, reports)
             if reports and cfg.keep_fit_samples:
                 metrics.fit_samples[(epoch, layer)] = samples
@@ -422,7 +439,7 @@ def train(config, dataset):
                 for u in range(config.users)
             ]
             if not bypass and (r == 0 or config.rebuild == "iteration"):
-                codec.refresh(inputs, epoch, metrics)
+                codec.refresh(inputs, epoch, metrics, first_of_epoch=r == 0)
             loss = run_round(model, losses, grads, inputs, states, codec, t, metrics, norm_sums)
             epoch_losses.append(loss)
             metrics.round_losses.append(loss)

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from co3 import cli
+from co3.datasets import synth_blobs
 from co3.fpq import FP4, bias_polynomial, dequantize, quantize
+from co3.trainer import TrainConfig, train
 
 
 def run_cli(args):
@@ -180,6 +182,19 @@ class TestFitDist:
         rows = list(csv.DictReader(open(regenerated)))
         assert {r["epoch"] for r in rows} == {"1", "2"}
         assert {r["family"] for r in rows} == {"normal", "laplace", "gennorm"}
+
+    def test_refits_an_iteration_cadence_run(self, tmp_path):
+        # every round refreshes, but only the epoch's first writes fit rows
+        # and keeps its sample, so fit-dist rebuilds the whole file
+        out = tmp_path / "run"
+        config = TrainConfig(epochs=2, users=2, seed=1, rebuild="iteration", keep_fit_samples=True)
+        metrics, _ = train(config, synth_blobs(600, 3, 8, seed=1, n_test=50))
+        metrics.write(out)
+        regenerated = out / "fits2.csv"
+        assert run_cli(["fit-dist", str(out), "--out", str(regenerated)]) == 0
+        assert regenerated.read_bytes() == (out / "fits.csv").read_bytes()
+        keys = [(r["epoch"], r["layer"], r["family"]) for r in csv.DictReader(open(regenerated))]
+        assert len(keys) == len(set(keys)) == 2 * 3 * 3  # epochs x layers x families
 
     def test_rows_follow_numeric_layer_order(self, tmp_path):
         # a stack of 11 or more layers: layer 10's file name sorts before layer 2's

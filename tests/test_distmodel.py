@@ -194,6 +194,18 @@ class TestFits:
         with pytest.raises(InsufficientDataError):
             fit_gennorm(np.arange(50, dtype=float))
 
+    @pytest.mark.parametrize(
+        "samples, message",
+        [
+            (np.r_[np.zeros(199), [1e-300]], "zero standard deviation"),  # squares underflow
+            (np.random.default_rng(0).laplace(0, 1e-70, 1000), "underflows to zero"),  # |x - mu|^5 does
+        ],
+    )
+    @pytest.mark.parametrize("fit", [fit_gennorm, fit_all])
+    def test_samples_too_narrow_to_fit_raise_typed(self, fit, samples, message):
+        with pytest.raises(DegenerateSampleError, match=message):
+            fit(samples)
+
     def test_gennorm_recovers_normal_shape(self):
         rng = np.random.default_rng(11)
         fit = fit_gennorm(rng.normal(0, 1, 200_000))

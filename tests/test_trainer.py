@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from co3 import feedback
+from co3 import distmodel, feedback
 from co3.datasets import shard_indices, synth_blobs
-from co3.distmodel import GenNormParams
+from co3.distmodel import GenNormParams, fit_gennorm
 from co3.entropy import EncodedBlock
 from co3.feedback import replay_memory
 from co3.fpq import FP4, FpFormat, optimize_bias
@@ -13,6 +13,7 @@ from co3.trainer import (
     DivergenceError,
     Model,
     TrainConfig,
+    _fit_layer,
     epoch_batches,
     layer_group,
     train,
@@ -258,14 +259,13 @@ class TestTrain:
         small = synth_blobs(160, 3, 6, seed=1, n_test=30)
         cfg = TrainConfig(epochs=1, rebuild="iteration", batch_size=64, seed=0)
         metrics, _ = train(cfg, small)
-        rounds = metrics.rounds
-        assert rounds > 0
+        assert metrics.rounds > 1  # later rounds refresh too, without adding rows
         assert len({e for e, *_ in metrics.fit_rows}) == 1
-        assert len(metrics.fit_rows) == 3 * 3 * rounds  # families x layers x rounds
+        assert len(metrics.fit_rows) == 3 * 3 * cfg.epochs  # families x layers x epochs
 
     @pytest.mark.parametrize("rebuild", ["epoch", "iteration"])
     def test_refresh_fits_the_rounds_own_quantizer_input(self, small, rebuild):
-        # the fit sample is g + gamma * m of the refreshing round k, before its update
+        # the fit sample is g + gamma * m of the epoch's first round k, before its update
         cfg = TrainConfig(
             epochs=2, seed=5, batch_size=32, rebuild=rebuild, keep_fit_samples=True, track_history=True
         )
@@ -273,10 +273,62 @@ class TestTrain:
         per_epoch = metrics.rounds // cfg.epochs
         assert len(metrics.fit_samples) == cfg.epochs * model.n_layers
         for (epoch, layer), samples in metrics.fit_samples.items():
-            k = (epoch - 1) * per_epoch if rebuild == "epoch" else epoch * per_epoch - 1
+            k = (epoch - 1) * per_epoch
             hist = metrics.history[(0, layer)]
             memory = replay_memory(cfg.gamma, hist[:k]) if k else np.zeros_like(samples)
             assert samples.tobytes() == (cfg.gamma * memory + hist[k][0]).tobytes()
+
+    def test_every_iteration_refresh_refits_the_codebooks_gennorm(self, small, monkeypatch):
+        # rounds after the epoch's first add no fit rows, yet each codebook
+        # still comes from a GenNorm fitted to that round's pooled sample
+        models = []
+        original = distmodel.cell_probabilities
+
+        def recording(gn, fmt):
+            models.append(gn)
+            return original(gn, fmt)
+
+        monkeypatch.setattr(distmodel, "cell_probabilities", recording)
+        cfg = TrainConfig(epochs=2, users=2, seed=3, batch_size=32, rebuild="iteration", track_history=True)
+        metrics, model = train(cfg, small)
+        per_epoch = metrics.rounds // cfg.epochs
+        assert per_epoch > 1
+        assert len(models) == metrics.rounds * model.n_layers
+        for k in range(metrics.rounds):
+            if k % per_epoch == 0:
+                continue
+            for layer in range(model.n_layers):
+                pooled = []
+                for u in range(cfg.users):
+                    hist = metrics.history[(u, layer)]
+                    pooled.append(cfg.gamma * replay_memory(cfg.gamma, hist[:k]) + hist[k][0])
+                assert models[k * model.n_layers + layer] == fit_gennorm(np.concatenate(pooled))
+
+    @pytest.mark.parametrize(
+        "samples",
+        [
+            np.r_[np.zeros(199), [1e-300]],  # squares underflow: zero standard deviation
+            np.random.default_rng(0).laplace(0, 1e-70, 1000),  # |x - mu|^5 underflows
+            np.full(300, 0.25),
+            np.linspace(-1.0, 1.0, 50),  # too few values to fit
+        ],
+    )
+    @pytest.mark.parametrize("previous", [None, GenNormParams(1.3, 0.0, 0.02)])
+    def test_both_refresh_paths_fall_back_alike(self, samples, previous):
+        if previous is None:
+            sd = max(float(np.std(samples)), 1e-8)
+            expected = GenNormParams(2.0, float(np.mean(samples)), sd * math.sqrt(2.0))
+        else:
+            expected = previous
+        assert _fit_layer(samples, previous, True) == ([], expected)
+        assert _fit_layer(samples, previous, False) == ([], expected)
+
+    def test_both_refresh_paths_fit_the_same_gennorm(self):
+        samples = np.random.default_rng(8).laplace(0.001, 0.02, 2000)
+        reports, gn = _fit_layer(samples, None, True)
+        assert [r.family for r in reports] == ["normal", "laplace", "gennorm"]
+        assert _fit_layer(samples, None, False) == ([], gn)
+        assert gn == fit_gennorm(samples)
 
     def test_layer_too_small_to_fit_keeps_its_first_fallback_model(self, small):
         # hidden=(20,) gives an output layer of 20 * 3 + 3 = 63 values, under

@@ -39,7 +39,6 @@ from .entropy import (
 from .feedback import FeedbackState, corrected_input, init_state, norms, replay_memory, update
 from .fpq import (
     FP4,
-    BiasSearchConfig,
     FpFormat,
     QuantizedTensor,
     bias_objective,
@@ -56,7 +55,6 @@ from .trainer import DivergenceError, Model, RunMetrics, TrainConfig, train
 __version__ = "0.1.0"
 
 __all__ = [
-    "BiasSearchConfig",
     "CorruptionError",
     "Dataset",
     "DegenerateSampleError",

@@ -175,6 +175,8 @@ def cmd_train(args):
 def cmd_bias_sweep(args):
     if not (0 < args.beta_min <= args.beta_max <= 5):
         raise ValueError("beta range must lie within (0, 5]")
+    if not (math.isfinite(args.beta_step) and args.beta_step > 0):
+        raise ValueError(f"--beta-step must be positive and finite, got {args.beta_step}")
     fmt = _parse_fp(args.fp)
     betas = np.arange(args.beta_min, args.beta_max + 1e-9, args.beta_step)
     outpath = Path(os.environ.get("CO3_OUT") or args.out)

@@ -54,14 +54,27 @@ class GenNormParams:
             raise ValueError(f"mu must be finite, got {self.mu}")
 
     @property
+    def _log_variance_ratio(self):
+        return math.lgamma(3.0 / self.beta) - math.lgamma(1.0 / self.beta)
+
+    @property
     def variance(self):
-        return self.alpha**2 * math.exp(
-            math.lgamma(3.0 / self.beta) - math.lgamma(1.0 / self.beta)
-        )
+        """alpha^2 Gamma(3/beta) / Gamma(1/beta); inf past float64's range."""
+        try:
+            return self.alpha**2 * math.exp(self._log_variance_ratio)
+        except OverflowError:
+            return math.inf
 
     @property
     def sigma(self):
-        return math.sqrt(self.variance)
+        """Standard deviation; inf past float64's range."""
+        variance = self.variance
+        if math.isfinite(variance):
+            return math.sqrt(variance)
+        try:  # alpha^2 overflows where sigma may not
+            return self.alpha * math.exp(0.5 * self._log_variance_ratio)
+        except OverflowError:
+            return math.inf
 
 
 @dataclass(frozen=True)
@@ -136,15 +149,16 @@ def _gamma_cf(s, x, max_iter=600):
 
 
 def _gamma_pq(s, x):
-    # (P(s, x), Q(s, x)) for 1-D x >= 0; the side computed directly keeps
-    # full relative precision, the other is its complement
-    p = np.empty_like(x)
-    q = np.empty_like(x)
+    # (P(s, x), Q(s, x)) for 1-D x >= 0, P(s, inf) = 1 included; the side
+    # computed directly keeps full relative precision, the other is its complement
+    p = np.ones_like(x)
+    q = np.zeros_like(x)
     small = x < s + 1.0
     p[small] = _gamma_series(s, x[small])
     q[small] = 1.0 - p[small]
-    q[~small] = _gamma_cf(s, x[~small])
-    p[~small] = 1.0 - q[~small]
+    cf = ~small & (x < math.inf)
+    q[cf] = _gamma_cf(s, x[cf])
+    p[cf] = 1.0 - q[cf]
     return p, q
 
 
@@ -289,22 +303,38 @@ def _check_sample(samples):
     return x
 
 
+def _without_overflow(stat, x):
+    """``stat(x)`` for a statistic that scales with x; where that overflows, ``stat(x / s) * s`` for a power of two s."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = stat(x)
+    if not math.isfinite(value):
+        s = math.ldexp(1.0, math.frexp(float(np.max(np.abs(x))))[1] - 1)  # max |x / s| in [1, 2)
+        value = stat(x / s) * s
+    return value
+
+
+def mean_std(samples):
+    """(mean, population stdev), each taken as ``_without_overflow`` does, so finite where float64 holds it."""
+    x = np.asarray(samples, dtype=np.float64).ravel()
+    return _without_overflow(lambda v: float(np.mean(v)), x), _without_overflow(lambda v: float(np.std(v)), x)
+
+
 def fit_normal(samples):
     """MLE Normal fit: (mean, population stdev)."""
-    x = _check_sample(samples)
-    return float(np.mean(x)), float(np.std(x))
+    return mean_std(_check_sample(samples))
 
 
 def fit_laplace(samples):
     """MLE Laplace fit: (median, mean absolute deviation from the median)."""
     x = _check_sample(samples)
     med = float(np.median(x))
-    return med, float(np.mean(np.abs(x - med)))
+    return med, _without_overflow(lambda v: float(np.mean(np.abs(v))), x - med)
 
 
 def profile_alpha(beta, deviations):
-    """Closed-form scale MLE given beta: (beta * mean|x-mu|^beta)^(1/beta)."""
-    return float((beta * np.mean(deviations**beta)) ** (1.0 / beta))
+    """Closed-form scale MLE given beta: (beta * mean|x-mu|^beta)^(1/beta); inf where that overflows."""
+    with np.errstate(over="ignore"):
+        return float((beta * np.mean(deviations**beta)) ** (1.0 / beta))
 
 
 def _neg_profile_loglik(beta, log_alpha):
@@ -353,11 +383,11 @@ def fit_gennorm(samples):
     so narrow that M(beta) underflows to zero at a scored shape.
     """
     x = _check_sample(samples)
-    if fit_normal(x)[1] == 0.0:
+    mu, sd = fit_normal(x)
+    if sd == 0.0:
         raise DegenerateSampleError("zero standard deviation")
     if fit_laplace(x)[1] == 0.0:
         raise DegenerateSampleError("zero mean absolute deviation")
-    mu = float(np.mean(x))
     dev = np.abs(x - mu)
 
     def profile(beta):
@@ -417,7 +447,7 @@ def w2_distance(samples, model):
     q = (np.arange(1, k + 1) - 0.5) / k
     emp = x[np.ceil(q * n).astype(np.int64) - 1]  # type-1 empirical quantiles
     mod = model.mu + model.alpha * _unit_quantiles(model.beta, k)
-    return float(np.sqrt(np.mean((emp - mod) ** 2)))
+    return _without_overflow(lambda d: float(np.sqrt(np.mean(d**2))), emp - mod)
 
 
 def fit_all(samples):

@@ -31,7 +31,6 @@ windows and uint8 per-bit arrays keep large blocks under 16 bytes per bit.
 
 import heapq
 import struct
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -352,12 +351,11 @@ def decode_block(block):
 class PayloadLedger:
     """Per-(user, iteration, layer) bit counts with order-independent totals.
 
-    Safe to share across concurrently encoding users: each record is appended
-    atomically and the totals are sums of non-negative integers.
+    The totals are sums of non-negative integers, so the order in which
+    blocks are recorded does not change them.
     """
 
     def __init__(self):
-        self._lock = threading.Lock()
         self.records = {}
         self._payload_total = 0
         self._header_total = 0
@@ -366,12 +364,11 @@ class PayloadLedger:
         if payload_bits < 0 or header_bits < 0:
             raise ValueError("bit counts must be non-negative")
         key = (user_id, iteration, layer_id)
-        with self._lock:
-            if key in self.records:
-                raise ValueError(f"duplicate ledger record for {key}")
-            self.records[key] = (int(payload_bits), int(header_bits))
-            self._payload_total += int(payload_bits)
-            self._header_total += int(header_bits)
+        if key in self.records:
+            raise ValueError(f"duplicate ledger record for {key}")
+        self.records[key] = (int(payload_bits), int(header_bits))
+        self._payload_total += int(payload_bits)
+        self._header_total += int(header_bits)
 
     def record_block(self, block):
         self.record(

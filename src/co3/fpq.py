@@ -6,14 +6,19 @@ graded underflow at exponent field 0 so an exact zero exists, +0/-0 collapse
 to a single level, overflow saturates to the largest magnitude, and midpoint
 ties round toward the level with even (exponent, fraction)-field integer
 (round-half-to-even; equals the even-fraction rule whenever mant_bits >= 1).
+Level i of the ascending grid has field integer |i - c| with c = 2^(m+e) - 1
+odd, so a tie goes to whichever of its two neighbors has an odd index.
 
 The levels at bias b are one cached bias-0 grid times Python's scalar
 ``2.0 ** b``; ``FpFormat``, the quantizer and the bias search all take them,
 and one check that they are finite and strictly ascending, from ``_levels_at``.
+``enumerate_levels`` caches each format's levels.
 
 The exponent bias is chosen to minimize the expected squared quantization
 error under a fitted GenNorm gradient model, evaluated by deterministic
-composite quadrature over mu +- 16 sigma (``optimize_bias``).
+composite quadrature over mu +- 16 sigma (``optimize_bias``), over a fixed
+search space in unit-variance coordinates: the biases -4 to 4 in steps of
+0.05, refined by golden section to 1e-8.
 ``bias_objective`` takes an array of biases and scores them in vectorized
 passes of at most 32k quadrature nodes, so no format or grid is built per
 bias. ``optimize_bias`` bounds each bias of its 161-point grid from below by
@@ -60,7 +65,7 @@ class FpFormat:
             raise ValueError("formats wider than 16 bits total are not supported")
         if not math.isfinite(self.bias):
             raise ValueError("bias must be finite")
-        _grid(self)  # rejects a bias whose levels overflow or underflow float64
+        enumerate_levels(self)  # rejects a bias whose levels overflow or underflow float64
 
     @property
     def total_bits(self):
@@ -89,18 +94,15 @@ class QuantizedTensor:
 
 @lru_cache(maxsize=16)
 def _unit_grid(mant_bits, exp_bits):
-    """(bias-0 levels ascending, tie ranks): rank parity alternates between neighbors."""
+    """Bias-0 levels, ascending; magnitude k has field integer E * 2**m + f = k."""
     m, e = mant_bits, exp_bits
     E = np.arange(2**e, dtype=np.float64).repeat(2**m)
     f = np.tile(np.arange(2**m, dtype=np.float64), 2**e)
     frac = 1.0 + f * 2.0**-m
     mags = np.where(E >= 1, frac * 2.0 ** (E - 1.0), f * 2.0**-m)
-    ranks = np.arange(mags.size, dtype=np.int64)  # = E * 2**m + f
     levels = np.concatenate((-mags[:0:-1], mags))
-    tie = np.concatenate((ranks[:0:-1], ranks))
     levels.setflags(write=False)
-    tie.setflags(write=False)
-    return levels, tie
+    return levels
 
 
 def _levels_at(mant_bits, exp_bits, biases):
@@ -112,7 +114,7 @@ def _levels_at(mant_bits, exp_bits, biases):
     # Python's power raises past 2 ** 1024; inf marks such a bias as overflowing
     scales = np.array([2.0 ** float(b) if b < 1024 else math.inf for b in biases])
     with np.errstate(over="ignore", invalid="ignore"):  # such rows are rejected below
-        levels = scales[:, None] * _unit_grid(mant_bits, exp_bits)[0]
+        levels = scales[:, None] * _unit_grid(mant_bits, exp_bits)
     name = f"[1,{mant_bits},{exp_bits}]"
     finite = np.isfinite(levels[:, -1])
     if not finite.all():
@@ -125,19 +127,14 @@ def _levels_at(mant_bits, exp_bits, biases):
 
 
 @lru_cache(maxsize=64)
-def _grid(fmt):
-    """(levels ascending, tie ranks) of ``fmt``."""
+def enumerate_levels(fmt):
+    """All representable values of ``fmt``, sorted ascending (zero included once); read-only."""
     levels = _levels_at(fmt.mant_bits, fmt.exp_bits, [fmt.bias])[0]
     levels.setflags(write=False)
-    return levels, _unit_grid(fmt.mant_bits, fmt.exp_bits)[1]
+    return levels
 
 
 FP4 = FpFormat(mant_bits=2, exp_bits=1)
-
-
-def enumerate_levels(fmt):
-    """All representable values of ``fmt``, sorted ascending (zero included once)."""
-    return _grid(fmt)[0]
 
 
 def max_level(fmt):
@@ -145,19 +142,20 @@ def max_level(fmt):
 
 
 def quantize(x, fmt):
-    """Map each entry to the nearest level; saturating, ties to even field integer."""
+    """Map each entry to the nearest level; saturating, ties to even field integer (odd level index)."""
     arr = np.asarray(x, dtype=np.float64)
     finite = np.isfinite(arr)
     if not finite.all():
         idx = tuple(int(v) for v in np.argwhere(~finite)[0])
         raise ValueError(f"non-finite input entry at index {idx}")
-    levels, tie = _grid(fmt)
+    levels = enumerate_levels(fmt)
     flat = np.clip(arr.ravel(), levels[0], levels[-1])
     hi = np.clip(np.searchsorted(levels, flat), 1, levels.size - 1)
     lo = hi - 1
     d_lo = flat - levels[lo]
     d_hi = levels[hi] - flat
-    take_hi = (d_hi < d_lo) | ((d_hi == d_lo) & (tie[hi] % 2 == 0))
+    # level i has field integer |i - (2^(m+e) - 1)|, even exactly when i is odd
+    take_hi = (d_hi < d_lo) | ((d_hi == d_lo) & (hi % 2 == 1))
     sym = np.where(take_hi, hi, lo).astype(np.int32)
     return QuantizedTensor(sym.reshape(arr.shape), fmt)
 
@@ -189,28 +187,17 @@ _QUAD_NODES = 4096
 _QUAD_SPAN_SIGMAS = 16.0
 # a fitted scale below this is degenerate and gets bias 0
 _ALPHA_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class BiasSearchConfig:
-    """Search space of ``optimize_bias``, in unit-variance coordinates."""
-
-    grid_lo: float = -4.0
-    grid_hi: float = 4.0
-    grid_step: float = 0.05
-    tol: float = 1e-8
-
-    def __post_init__(self):
-        if not self.grid_hi > self.grid_lo:
-            raise ValueError("empty bias search range")
-        if self.grid_step <= 0 or self.tol <= 0:
-            raise ValueError("grid_step and tol must be positive")
+# optimize_bias's search space in unit-variance coordinates: 161 biases from
+# -4 to 4 in steps of 0.05, then golden section to this tolerance
+_BIAS_GRID = np.arange(-4.0, 4.0 + 0.5 * 0.05, 0.05)
+_BIAS_GRID.setflags(write=False)
+_BIAS_TOL = 1e-8
 
 
 @lru_cache(maxsize=16)
 def _bias_quadrature(mant_bits, exp_bits):
     """Simpson nodes on [0, 1] per cell of the format and their weights."""
-    n = max(9, _QUAD_NODES // _unit_grid(mant_bits, exp_bits)[0].size) | 1  # odd nodes for Simpson
+    n = max(9, _QUAD_NODES // _unit_grid(mant_bits, exp_bits).size) | 1  # odd nodes for Simpson
     t = np.linspace(0.0, 1.0, n)
     w = np.full(n, 2.0)
     w[1::2] = 4.0
@@ -263,7 +250,7 @@ def _cell_errors(biases, dist, fmt, cells=None):
     return out
 
 
-def bias_objective(b, dist, fmt, search=BiasSearchConfig()):
+def bias_objective(b, dist, fmt):
     """Expected squared quantization error E[(Q_b(G) - G)^2] by composite quadrature.
 
     ``b`` is one bias (a ``float`` is returned) or an array of biases (an
@@ -271,8 +258,7 @@ def bias_objective(b, dist, fmt, search=BiasSearchConfig()):
     partitioned into the quantizer's nearest-neighbor cells and each cell
     gets its own Simpson rule, nodes aligned to the (b-dependent) cell
     boundaries. That keeps the objective smooth in b, so the grid-plus-golden
-    search has a well-defined minimum. ``search`` is not read; it is accepted
-    so that a caller can pass ``optimize_bias``'s settings to both.
+    search has a well-defined minimum.
 
     The levels are ``_levels_at``'s, as on ``fmt.with_bias(b)``'s own grid,
     so no format or grid is built per bias and a bias that ``FpFormat`` would
@@ -284,7 +270,7 @@ def bias_objective(b, dist, fmt, search=BiasSearchConfig()):
     return float(out[0]) if biases.ndim == 0 else out.reshape(biases.shape)
 
 
-def optimize_bias(dist, fmt, search=BiasSearchConfig()):
+def optimize_bias(dist, fmt):
     """Exponent bias minimizing the expected squared error under ``dist``.
 
     The search runs on the unit-variance member of the scale family (levels
@@ -309,16 +295,17 @@ def optimize_bias(dist, fmt, search=BiasSearchConfig()):
         )
         return 0.0
     sigma = dist.sigma
+    if math.isinf(sigma):
+        raise ValueError(f"the standard deviation of {dist} overflows float64")
     unit = GenNormParams(dist.beta, dist.mu / sigma, dist.alpha / sigma)
 
     def objective(b):
         return bias_objective(b, unit, fmt)
 
-    grid = np.arange(search.grid_lo, search.grid_hi + 0.5 * search.grid_step, search.grid_step)
     top = fmt.level_count - 1
-    bounds = _cell_errors(grid, unit, fmt, cells=[0, top // 2, top]).sum(axis=1)
-    values = bounded_scores(lambda i: objective(grid[i]), bounds, _pass_rows(fmt, fmt.level_count))
-    b_unit = grid_then_golden(objective, grid, values, search.tol)
+    bounds = _cell_errors(_BIAS_GRID, unit, fmt, cells=[0, top // 2, top]).sum(axis=1)
+    values = bounded_scores(lambda i: objective(_BIAS_GRID[i]), bounds, _pass_rows(fmt, fmt.level_count))
+    b_unit = grid_then_golden(objective, _BIAS_GRID, values, _BIAS_TOL)
     return float(b_unit + math.log2(sigma))
 
 

@@ -23,6 +23,7 @@ disjoint SeedSequence children.
 
 import csv
 import math
+import sys
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -299,8 +300,9 @@ def _fit_layer(samples, previous, score_families):
     except (distmodel.DegenerateSampleError, distmodel.InsufficientDataError):
         if previous is not None:
             return [], previous
-        alpha = max(float(np.std(samples)), _FALLBACK_ALPHA) * math.sqrt(2.0)
-        return [], distmodel.GenNormParams(2.0, float(np.mean(samples)), alpha)
+        mean, sd = distmodel.mean_std(samples)
+        alpha = min(max(sd, _FALLBACK_ALPHA) * math.sqrt(2.0), sys.float_info.max)
+        return [], distmodel.GenNormParams(2.0, mean, alpha)
     return reports, reports[-1].as_gennorm()  # fit_all lists the gennorm fit last
 
 

@@ -16,7 +16,6 @@ import scipy.integrate
 import co3
 from co3 import (
     FP4,
-    BiasSearchConfig,
     FpFormat,
     GenNormParams,
     QuantizedTensor,
@@ -172,7 +171,6 @@ def test_c3_bias_grid_oracle_and_polynomial_parity():
     optimizer is also checked against a Monte-Carlo oracle in the unit
     suite)."""
     t0 = time.perf_counter()
-    search = BiasSearchConfig()
     betas = np.arange(0.30, 1.6001, 0.05)
     max_poly_dev = 0.0
     max_grid_dev = 0.0
@@ -181,10 +179,10 @@ def test_c3_bias_grid_oracle_and_polynomial_parity():
         beta = float(beta)
         alpha = math.sqrt(math.exp(math.lgamma(1 / beta) - math.lgamma(3 / beta)))
         dist = GenNormParams(beta, 0.0, alpha)
-        b_opt = optimize_bias(dist, FP4, search)
+        b_opt = optimize_bias(dist, FP4)
         b_poly = bias_polynomial(beta, 1.0)
         grid = np.arange(-2.0, 3.0 + 1e-12, 1e-3)
-        vals = [bias_objective(b, dist, FP4, search) for b in grid]
+        vals = [bias_objective(b, dist, FP4) for b in grid]
         b_grid = float(grid[int(np.argmin(vals))])
         max_grid_dev = max(max_grid_dev, abs(b_opt - b_grid))
         max_poly_dev = max(max_poly_dev, abs(b_opt - b_poly))

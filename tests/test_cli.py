@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -168,6 +169,13 @@ class TestBiasSweep:
                         "--out", str(tmp_path / "x.csv")])
         assert code != 0
 
+    @pytest.mark.parametrize("step", ["0", "-0.1", "inf", "nan"])
+    def test_step_must_be_positive_and_finite(self, tmp_path, capsys, step):
+        out = tmp_path / "x.csv"
+        assert run_cli(["bias-sweep", "--beta-step", step, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: --beta-step must be positive and finite")
+        assert not out.exists()
+
 
 class TestFitDist:
     def test_refits_from_saved_samples(self, tmp_path):
@@ -245,6 +253,31 @@ class TestCodec:
         block = EncodedBlock.from_bytes(encoded.read_bytes())
         expected = dequantize(quantize(x.astype(np.float64), block.fmt)).astype("<f4")
         assert np.fromfile(decoded, dtype="<f4").tobytes() == expected.tobytes()
+
+    def test_encode_at_scale_1e160(self, tmp_path, capsys):
+        # alpha^2 overflows float64 here; the bias is log2 of the scale away from unit scale's
+        infile, encoded, decoded = tmp_path / "g.f32", tmp_path / "g.co3", tmp_path / "g.dec.f32"
+        x = np.random.default_rng(2).normal(0, 1, 1000).astype("<f4")
+        x.tofile(infile)
+        assert run_cli(["codec", "encode", str(infile), str(encoded), "--alpha", "1e160"]) == 0
+        assert run_cli(["codec", "decode", str(encoded), str(decoded)]) == 0
+        from co3.distmodel import GenNormParams
+        from co3.entropy import EncodedBlock
+        from co3.fpq import optimize_bias
+
+        fmt = EncodedBlock.from_bytes(encoded.read_bytes()).fmt
+        unit = optimize_bias(GenNormParams(2.0, 0.0, 1.0), FP4)
+        assert fmt.bias == pytest.approx(unit + math.log2(1e160), abs=1e-4)
+        expected = dequantize(quantize(x.astype(np.float64), fmt)).astype("<f4")
+        assert np.fromfile(decoded, dtype="<f4").tobytes() == expected.tobytes()
+
+    def test_encode_past_float64_fails_typed(self, tmp_path, capsys):
+        # a standard deviation past float64's range: alpha 1e300 at shape 0.1
+        infile = tmp_path / "g.f32"
+        np.ones(10, dtype="<f4").tofile(infile)
+        args = ["codec", "encode", str(infile), str(tmp_path / "g.co3"), "--alpha", "1e300", "--beta", "0.1"]
+        assert run_cli(args) == 1
+        assert capsys.readouterr().err.startswith("error: the standard deviation")
 
     def test_corrupted_magic_errors(self, tmp_path, capsys):
         rng = np.random.default_rng(1)

@@ -65,6 +65,11 @@ class TestIncompleteGamma:
         with pytest.raises(ValueError):
             lower_gamma_reg(1.0, -0.5)
 
+    def test_infinity(self):
+        # a cell edge past float64's range is inf, and its CDF is exact
+        assert lower_gamma_reg(0.5, math.inf) == 1.0
+        assert gennorm_cdf(np.array([-np.inf, np.inf]), unit_variance(1.3)).tolist() == [0.0, 1.0]
+
 
 class TestDensity:
     @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 4.0])
@@ -205,6 +210,26 @@ class TestFits:
     def test_samples_too_narrow_to_fit_raise_typed(self, fit, samples, message):
         with pytest.raises(DegenerateSampleError, match=message):
             fit(samples)
+
+    def test_samples_whose_squares_overflow_fit_as_at_unit_scale(self):
+        # at about 1e160 alpha^2 and the squares in np.std pass float64's range;
+        # 2^531 rescales exactly, so the Normal and Laplace fits scale exactly
+        unit = np.random.default_rng(16).laplace(0.001, 1.0, 2000)
+        big = unit * 2.0**531
+        for r, r_unit in zip(fit_all(big), fit_all(unit)):
+            assert (r.family, r.beta) == (r_unit.family, pytest.approx(r_unit.beta, rel=1e-6))
+            assert r.mu == pytest.approx(r_unit.mu * 2.0**531, rel=1e-6)
+            assert r.scale == pytest.approx(r_unit.scale * 2.0**531, rel=1e-6)
+            assert r.w2 == pytest.approx(r_unit.w2 * 2.0**531, rel=1e-6)
+        assert fit_normal(big) == tuple(v * 2.0**531 for v in fit_normal(unit))
+        assert fit_laplace(big) == tuple(v * 2.0**531 for v in fit_laplace(unit))
+
+    def test_sigma_past_the_range_of_alpha_squared(self):
+        for beta in (0.5, 1.0, 2.0):
+            unit = GenNormParams(beta, 0.0, 1.0)
+            assert GenNormParams(beta, 0.0, 1e160).sigma == pytest.approx(unit.sigma * 1e160, rel=1e-12)
+        assert GenNormParams(0.1, 0.0, 1e300).sigma == math.inf
+        assert GenNormParams(0.001, 0.0, 1.0).variance == GenNormParams(0.001, 0.0, 1.0).sigma == math.inf
 
     def test_gennorm_recovers_normal_shape(self):
         rng = np.random.default_rng(11)

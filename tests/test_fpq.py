@@ -9,7 +9,6 @@ from co3._minimize import grid_then_golden
 from co3.distmodel import GenNormParams, gennorm_pdf, sample_gennorm
 from co3.fpq import (
     FP4,
-    BiasSearchConfig,
     FpFormat,
     bias_objective,
     bias_polynomial,
@@ -73,7 +72,7 @@ def per_bias_objective(b, dist, fmt):
     return float((h * (err2 @ w) / 3.0).sum())
 
 
-def full_grid_optimize_bias(dist, fmt, search=BiasSearchConfig()):
+def full_grid_optimize_bias(dist, fmt):
     """optimize_bias before it bounded its grid: every grid bias gets a full score."""
     sigma = dist.sigma
     unit = GenNormParams(dist.beta, dist.mu / sigma, dist.alpha / sigma)
@@ -81,8 +80,8 @@ def full_grid_optimize_bias(dist, fmt, search=BiasSearchConfig()):
     def objective(b):
         return bias_objective(b, unit, fmt)
 
-    grid = np.arange(search.grid_lo, search.grid_hi + 0.5 * search.grid_step, search.grid_step)
-    return float(grid_then_golden(objective, grid, objective(grid), search.tol) + math.log2(sigma))
+    grid = np.arange(-4.0, 4.0 + 0.5 * 0.05, 0.05)
+    return float(grid_then_golden(objective, grid, objective(grid), 1e-8) + math.log2(sigma))
 
 
 def elementwise_levels(mant, exp, bias):
@@ -93,6 +92,12 @@ def elementwise_levels(mant, exp, bias):
             mag = math.ldexp(f, -mant) if e == 0 else math.ldexp(2**mant + f, e - 1 - mant)
             mags.append(mag * 2.0**bias)
     return [-m for m in reversed(mags[1:])] + mags
+
+
+def field_integers(mant, exp):
+    """The (exponent, fraction) field integer E * 2^m + f of each level, in elementwise_levels' order."""
+    fields = [e * 2**mant + f for e in range(2**exp) for f in range(2**mant)]
+    return np.array(fields[:0:-1] + fields)
 
 
 def laplace_fp4_argmin():
@@ -203,6 +208,29 @@ class TestQuantize:
         assert dequantize(quantize(np.array([0.5, 1.5, 3.0, -0.5]), fmt)).tolist() == [
             0.0, 2.0, 2.0, 0.0]
 
+    @pytest.mark.parametrize("bias", [0.0, -1.3, 2.71])
+    def test_ties_follow_the_field_integer_rule(self, bias):
+        # every format with m + e <= 8: levels, midpoints, midpoints +- 1 ulp
+        # and saturating values, against a brute-force nearest level whose
+        # exact ties go to the even (exponent, fraction) field integer
+        for width in range(1, 9):
+            for exp in range(1, width + 1):
+                fmt = FpFormat(mant_bits=width - exp, exp_bits=exp, bias=bias)
+                levels = np.array(elementwise_levels(fmt.mant_bits, exp, bias))
+                fields = field_integers(fmt.mant_bits, exp)
+                mids = 0.5 * (levels[:-1] + levels[1:])
+                top = levels[-1]
+                x = np.concatenate((
+                    levels, mids, np.nextafter(mids, -np.inf), np.nextafter(mids, np.inf),
+                    [np.nextafter(top, np.inf), 1.5 * top, 3.0 * top], [-np.nextafter(top, np.inf), -1.5 * top, -3.0 * top],
+                ))
+                dist = np.abs(x[:, None] - levels[None, :])
+                near = dist == dist.min(axis=1, keepdims=True)
+                assert near.sum(axis=1).max() <= 2
+                even = near & (fields % 2 == 0)
+                expected = np.where(near.sum(axis=1) == 1, near.argmax(axis=1), even.argmax(axis=1))
+                assert np.array_equal(quantize(x, fmt).symbols, expected), fmt
+
     def test_non_finite_rejected_with_index(self):
         bad = np.array([[0.0, 1.0], [np.nan, 2.0]])
         with pytest.raises(ValueError, match=r"index \(1, 0\)"):
@@ -285,12 +313,11 @@ class TestBias:
             bias_polynomial(1.0, -1.0)
 
     def test_optimizer_matches_brute_force_grid(self):
-        search = BiasSearchConfig()
         for beta in (0.8, 2.0):
             dist = unit_variance_gennorm(beta)
-            b_opt = optimize_bias(dist, FP4, search)
+            b_opt = optimize_bias(dist, FP4)
             grid = np.arange(b_opt - 0.2, b_opt + 0.2, 1e-3)
-            vals = [bias_objective(b, dist, FP4, search) for b in grid]
+            vals = [bias_objective(b, dist, FP4) for b in grid]
             b_grid = float(grid[int(np.argmin(vals))])
             assert abs(b_opt - b_grid) <= 1e-3
 
@@ -314,8 +341,7 @@ class TestBias:
     @pytest.mark.parametrize("beta", [0.3, 0.6, 1.0, 1.4, 2.0])
     @pytest.mark.parametrize("fmt", [FP4, FpFormat(3, 2), FpFormat(4, 3)], ids=["fp4", "1-3-2", "1-4-3"])
     def test_array_objective_equals_per_bias_reference(self, fmt, beta):
-        search = BiasSearchConfig()
-        grid = np.arange(search.grid_lo, search.grid_hi + 0.5 * search.grid_step, search.grid_step)
+        grid = np.arange(-4.0, 4.0 + 0.5 * 0.05, 0.05)
         assert grid.size == 161
         dist = unit_variance_gennorm(beta, sigma=1.3, mu=0.02)
         ref = np.array([per_bias_objective(b, dist, fmt) for b in grid])
@@ -349,9 +375,9 @@ class TestBias:
 
     def test_optimize_bias_builds_no_grid_per_bias(self):
         fmt = FpFormat(mant_bits=3, exp_bits=1)
-        before = fpq._grid.cache_info().misses
+        before = fpq.enumerate_levels.cache_info().misses
         optimize_bias(unit_variance_gennorm(0.9, sigma=0.01), fmt)
-        assert fpq._grid.cache_info().misses - before <= 1
+        assert fpq.enumerate_levels.cache_info().misses - before <= 1
 
     def test_objective_rejects_unrepresentable_biases(self):
         dist = unit_variance_gennorm(1.0)

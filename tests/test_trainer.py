@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from co3 import distmodel, feedback
+from co3 import distmodel, feedback, trainer
 from co3.datasets import shard_indices, synth_blobs
 from co3.distmodel import GenNormParams, fit_gennorm
 from co3.entropy import EncodedBlock
 from co3.feedback import replay_memory
-from co3.fpq import FP4, FpFormat, optimize_bias
+from co3.fpq import FP4, FpFormat, bias_polynomial, optimize_bias
 from co3.trainer import (
     DivergenceError,
     Model,
@@ -330,6 +330,28 @@ class TestTrain:
         assert _fit_layer(samples, None, False) == ([], gn)
         assert gn == fit_gennorm(samples)
 
+    def test_both_refresh_paths_fit_and_fall_back_at_scale_1e160(self):
+        # alpha^2 and np.std's squares overflow float64 here; 2^531 rescales exactly
+        unit = np.random.default_rng(9).laplace(0.001, 1.0, 2000)
+        samples = unit * 2.0**531
+        reports, gn = _fit_layer(samples, None, True)
+        assert [r.family for r in reports] == ["normal", "laplace", "gennorm"]
+        assert all(math.isfinite(v) for r in reports for v in (r.mu, r.scale, r.w2))
+        assert _fit_layer(samples, None, False) == ([], gn)
+        ref = fit_gennorm(unit)
+        assert gn.beta == pytest.approx(ref.beta, rel=1e-6)
+        assert gn.alpha == pytest.approx(ref.alpha * 2.0**531, rel=1e-6)
+        assert optimize_bias(gn, FP4) == pytest.approx(optimize_bias(ref, FP4) + 531, abs=1e-6)
+        # too few values to fit: both paths fall back to a finite narrow Normal
+        few = samples[:50]
+        sd = float(np.std(unit[:50])) * 2.0**531
+        expected = GenNormParams(2.0, float(np.mean(unit[:50])) * 2.0**531, sd * math.sqrt(2.0))
+        assert _fit_layer(few, None, True) == ([], expected)
+        assert _fit_layer(few, None, False) == ([], expected)
+        # near float64's largest value sd * sqrt(2) overflows: the fallback keeps the largest finite alpha
+        extreme = np.r_[np.full(30, 1.5e308), np.full(30, -1.5e308)]
+        assert _fit_layer(extreme, None, True) == ([], GenNormParams(2.0, 0.0, np.finfo(np.float64).max))
+
     def test_layer_too_small_to_fit_keeps_its_first_fallback_model(self, small):
         # hidden=(20,) gives an output layer of 20 * 3 + 3 = 63 values, under
         # the 100 a fit needs: it gets no fit rows, a narrow Normal at the
@@ -374,6 +396,58 @@ class TestTrain:
         metrics, model = train(TrainConfig(epochs=2, users=2, seed=1, batch_size=32, rebuild=rebuild), small)
         assert metrics.rounds > 0
         assert len(calls) == metrics.rounds * 2 * model.n_layers
+
+    def test_pooled_layers_over_the_cap_keep_an_evenly_spaced_sample(self, small, monkeypatch):
+        cfg = TrainConfig(epochs=2, users=2, seed=4, batch_size=32, keep_fit_samples=True)
+        full, _ = train(cfg, small)  # every layer pools fewer values than the default cap
+        cap = 150
+        monkeypatch.setattr(trainer, "FIT_SAMPLE_CAP", cap)
+        capped, _ = train(cfg, small)
+        assert capped.fit_samples.keys() == full.fit_samples.keys()
+        # the first epoch's pooled inputs come before any refresh, so they match
+        subsampled = 0
+        for (epoch, layer), pooled in full.fit_samples.items():
+            if epoch > 1:
+                continue
+            kept = capped.fit_samples[(epoch, layer)]
+            if pooled.size <= cap:
+                assert kept.tobytes() == pooled.tobytes()
+                continue
+            idx = np.linspace(0, pooled.size - 1, cap).astype(np.int64)
+            assert idx[0] == 0 and idx[-1] == pooled.size - 1 and np.all(np.diff(idx) > 0)
+            assert np.all(np.abs(idx - np.arange(cap) * (pooled.size - 1) / (cap - 1)) < 1)
+            assert kept.size == cap and kept.tobytes() == pooled[idx].tobytes()
+            subsampled += 1
+        assert subsampled >= 2
+
+    @pytest.mark.parametrize("rebuild", ["epoch", "iteration"])
+    def test_polynomial_bias_mode_trains_reproducibly(self, small, monkeypatch, rebuild):
+        refreshes = []
+        original = trainer._Codec.refresh
+
+        def recording(codec, *args, **kwargs):
+            original(codec, *args, **kwargs)
+            refreshes.append(list(zip(codec.formats, codec.gennorms)))
+
+        monkeypatch.setattr(trainer._Codec, "refresh", recording)
+        cfg = TrainConfig(epochs=2, users=2, seed=7, batch_size=32, bias_mode="polynomial", rebuild=rebuild,
+                          keep_streams=True)
+        m1, model1 = train(cfg, small)
+        per_epoch = m1.rounds // cfg.epochs
+        assert len(refreshes) == (cfg.epochs if rebuild == "epoch" else m1.rounds)
+        for layers in refreshes:
+            for fmt, gn in layers:
+                assert fmt.with_bias(0.0) == FP4
+                assert fmt.bias == float(np.float32(bias_polynomial(gn.beta, gn.sigma)))
+        for raw in m1.streams:
+            block = EncodedBlock.from_bytes(raw)
+            k = block.iteration // per_epoch if rebuild == "epoch" else block.iteration
+            assert block.fmt == refreshes[k][block.layer_id][0]
+        m2, model2 = train(cfg, small)
+        assert m1.round_losses == m2.round_losses
+        assert m1.streams == m2.streams
+        assert m1.ledger.records == m2.ledger.records
+        assert all(np.array_equal(a, b) for a, b in zip(model1.weights + model1.biases, model2.weights + model2.biases))
 
     def test_more_users_than_samples_fails_typed(self):
         # an empty shard gives zero rounds, and nothing to average per epoch

@@ -8,17 +8,18 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # a lower bound must pass the best score by this relative margin before its
 # point is skipped, which absorbs the rounding of bound and score alike
 _BOUND_RTOL = 1e-9
+_GOLDEN_MAX_STEPS = 400  # each step narrows the bracket by 1/phi
 
 
-def golden_section(f, lo, hi, tol=1e-8, max_iter=400):
-    """Minimize f on [lo, hi]; returns the midpoint of the final bracket."""
+def golden_section(f, lo, hi, tol):
+    """Minimize f on [lo, hi] until the bracket is at most ``tol`` wide; returns its midpoint."""
     a, b = float(lo), float(hi)
     if not b > a:
         raise ValueError(f"empty search interval [{a}, {b}]")
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(max_iter):
+    for _ in range(_GOLDEN_MAX_STEPS):
         if b - a <= tol:
             break
         if fc < fd:
@@ -61,4 +62,4 @@ def grid_then_golden(f, grid, values, tol):
     Only the argmin is read, so ``values`` may be ``bounded_scores``'s.
     """
     i = int(np.argmin(values))
-    return golden_section(f, grid[max(0, i - 1)], grid[min(len(grid) - 1, i + 1)], tol=tol)
+    return golden_section(f, grid[max(0, i - 1)], grid[min(len(grid) - 1, i + 1)], tol)

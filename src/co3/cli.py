@@ -27,7 +27,9 @@ def _parse_fp(value):
     if len(parts) != 3:
         raise ValueError(f"fp format needs sign,mant,exp — got {value!r}")
     sign, mant, exp = parts
-    return fpq.FpFormat(mant_bits=mant, exp_bits=exp, sign_bits=sign)
+    if sign != 1:
+        raise ValueError(f"fp format needs exactly one sign bit, got {sign}")
+    return fpq.FpFormat(mant_bits=mant, exp_bits=exp)
 
 
 def _parse_gammas(value):
@@ -66,7 +68,7 @@ _SETTINGS = {
     "bias_mode": _Setting("--bias-mode", str, "bias_mode", help="optimize or polynomial"),
     "shard_mode": _Setting("--shard-mode", str, "shard_mode", help="partition or replicate"),
     "hidden": _Setting(None, _parse_hidden, "hidden"),
-    "dataset": _Setting("--dataset", str, default="blobs", help="blobs, cifar10, idx or csv"),
+    "dataset": _Setting("--dataset", str, default="blobs", help="blobs, cifar10 (first 5,000 train, 1,000 test images), idx or csv"),
     "data_path": _Setting("--data-path", str),
     "out": _Setting("--out", str, default="runs"),
     "blobs_n": _Setting(None, int, default=5000),
@@ -146,15 +148,18 @@ def _build_dataset(settings):
 
 def cmd_train(args):
     settings = _resolve_settings(args)
-    dataset = _build_dataset(settings)
     gammas = settings["gamma"]
     out = Path(settings["out"])
+    rundirs = [out] if len(gammas) == 1 else [out / f"gamma_{gamma:g}" for gamma in gammas]
+    twice = [d.name for d in rundirs if rundirs.count(d) > 1]
+    if twice:
+        raise ValueError(f"gammas {gammas} share the run directory {twice[0]}, which names gamma to 6 significant digits")
+    dataset = _build_dataset(settings)
     out.mkdir(parents=True, exist_ok=True)
     summaries = []
     config_settings = {s.field: settings[key] for key, s in _SETTINGS.items() if s.field}
-    for gamma in gammas:
+    for gamma, rundir in zip(gammas, rundirs):
         config = trainer.TrainConfig(**dict(config_settings, gamma=gamma), keep_fit_samples=True)
-        rundir = out if len(gammas) == 1 else out / f"gamma_{gamma:g}"
         metrics, _ = trainer.train(config, dataset)
         metrics.write(rundir)
         summaries.append((gamma, metrics))

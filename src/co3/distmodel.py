@@ -100,9 +100,10 @@ class FitReport:
 
 _TINY = 1e-300
 _CONV_EPS = 1e-15
+_GAMMA_MAX_TERMS = 600  # series terms or continued-fraction steps before giving up
 
 
-def _gamma_series(s, x, max_iter=600):
+def _gamma_series(s, x):
     # P(s, x) by power series; valid for x < s + 1
     out = np.zeros_like(x)
     pos = x > 0
@@ -111,7 +112,7 @@ def _gamma_series(s, x, max_iter=600):
         term = np.full_like(xv, 1.0 / s)
         total = term.copy()
         ap = s
-        for _ in range(max_iter):
+        for _ in range(_GAMMA_MAX_TERMS):
             ap += 1.0
             term = term * xv / ap
             total += term
@@ -123,7 +124,7 @@ def _gamma_series(s, x, max_iter=600):
     return out
 
 
-def _gamma_cf(s, x, max_iter=600):
+def _gamma_cf(s, x):
     # Q(s, x) by modified Lentz continued fraction; valid for x >= s + 1
     if x.size == 0:
         return x.copy()
@@ -131,7 +132,7 @@ def _gamma_cf(s, x, max_iter=600):
     c = np.full_like(x, 1.0 / _TINY)
     d = 1.0 / b
     h = d.copy()
-    for i in range(1, max_iter + 1):
+    for i in range(1, _GAMMA_MAX_TERMS + 1):
         an = -i * (i - s)
         b = b + 2.0
         d = an * d + b
@@ -473,12 +474,16 @@ def cell_probabilities(dist, fmt):
     Cell boundaries sit at midpoints between adjacent levels; the outermost
     cells extend to +-infinity so saturated mass is absorbed. Every level gets
     at least the floor probability (added, then renormalized) so all symbols
-    stay encodable.
+    stay encodable. A midpoint is ``0.5 * (a + b)``, or ``0.5 * a + 0.5 * b``
+    where the sum of two levels near float64's largest value overflows.
     """
     from .fpq import enumerate_levels
 
     levels = enumerate_levels(fmt)
-    mids = 0.5 * (levels[:-1] + levels[1:])
+    with np.errstate(over="ignore"):
+        mids = 0.5 * (levels[:-1] + levels[1:])
+    wide = ~np.isfinite(mids)
+    mids[wide] = 0.5 * levels[:-1][wide] + 0.5 * levels[1:][wide]
     cdf = gennorm_cdf(mids, dist)
     p = np.diff(np.concatenate(([0.0], cdf, [1.0])))
     p = p + CELL_PROB_FLOOR

@@ -9,9 +9,10 @@ is bit-exact and fully self-describing on the decode side:
     pad_bit_count u8 | payload bytes
 
 All multi-byte integers are little-endian; codewords are packed MSB-first and
-the final byte is zero-padded. Codebooks are canonical (derived from lengths
-and level order alone) with deterministic tie-breaking, so encoder and decoder
-derive identical codes independently.
+the final byte is zero-padded. The sign field must be 1, as every format has
+one sign bit; the payload holds 8 * its bytes - pad_bit_count bits. Codebooks
+are canonical (derived from lengths and level order alone) with deterministic
+tie-breaking, so encoder and decoder derive identical codes independently.
 
 Encoding places each codeword into the big-endian 64-bit word holding its
 first bit: the codewords starting in one word are OR-reduced into it, and only
@@ -157,7 +158,10 @@ class EncodedBlock:
     symbol_count: int
     payload: bytes
     pad_bits: int
-    payload_bits: int
+
+    @property
+    def payload_bits(self):
+        return 8 * len(self.payload) - self.pad_bits
 
     @property
     def header_bits(self):
@@ -171,7 +175,7 @@ class EncodedBlock:
             self.iteration,
             self.layer_id,
             self.symbol_count,
-            self.fmt.sign_bits,
+            1,  # sign bits
             self.fmt.mant_bits,
             self.fmt.exp_bits,
             self.fmt.bias,
@@ -201,18 +205,19 @@ class EncodedBlock:
         if pad > 7:
             raise CorruptionError(f"pad bit count {pad} out of range")
         payload = bytes(data[pos:])
-        payload_bits = 8 * len(payload) - pad
-        if payload_bits < 0:
+        if 8 * len(payload) < pad:
             raise CorruptionError("pad bits exceed the payload")
+        if sgn != 1:
+            raise CorruptionError(f"invalid format in the header: {sgn} sign bits, not 1")
         try:
-            fmt = FpFormat(mant_bits=mant, exp_bits=exp, bias=bias, sign_bits=sgn)
+            fmt = FpFormat(mant_bits=mant, exp_bits=exp, bias=bias)
         except ValueError as err:
             raise CorruptionError(f"invalid format in the header: {err}") from err
         if levels != fmt.level_count:
             raise CorruptionError(
                 f"header says {levels} levels but the format has {fmt.level_count}"
             )
-        return cls(user, iteration, layer, fmt, lengths, count, payload, pad, payload_bits)
+        return cls(user, iteration, layer, fmt, lengths, count, payload, pad)
 
 
 def encode(q, codebook, *, user_id=0, iteration=0, layer_id=0):
@@ -264,7 +269,6 @@ def encode(q, codebook, *, user_id=0, iteration=0, layer_id=0):
         symbol_count=int(sym.size),
         payload=payload,
         pad_bits=pad,
-        payload_bits=total,
     )
 
 

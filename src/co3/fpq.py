@@ -46,16 +46,13 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class FpFormat:
-    """Sign/mantissa/exponent bit allocation plus a continuous exponent bias."""
+    """One sign bit, mantissa and exponent bits, plus a continuous exponent bias."""
 
     mant_bits: int
     exp_bits: int
     bias: float = 0.0
-    sign_bits: int = 1
 
     def __post_init__(self):
-        if self.sign_bits != 1:
-            raise ValueError("exactly one sign bit is supported")
         if self.mant_bits < 0:
             raise ValueError("mant_bits must be >= 0")
         if not 1 <= self.exp_bits <= 10:
@@ -69,7 +66,7 @@ class FpFormat:
 
     @property
     def total_bits(self):
-        return self.sign_bits + self.mant_bits + self.exp_bits
+        return 1 + self.mant_bits + self.exp_bits
 
     @property
     def level_count(self):

@@ -33,20 +33,12 @@ import numpy as np
 from . import distmodel, entropy, feedback, fpq
 from .datasets import shard_indices
 
-LAYER_GROUPS = ("lower", "middle", "upper")
+LAYER_GROUPS = ("lower", "middle", "upper")  # thirds of the stack, input side first
+_EVAL_BATCH = 1024  # samples per forward pass when evaluating a whole split
 
 
 class DivergenceError(RuntimeError):
     """Training loss became non-finite."""
-
-
-def layer_group(layer_idx, n_layers):
-    """Thirds of the stack: input-side third is "lower", output-side "upper"."""
-    bounds = np.array_split(np.arange(n_layers), 3)
-    for name, idxs in zip(LAYER_GROUPS, bounds):
-        if layer_idx in idxs:
-            return name
-    return LAYER_GROUPS[-1]
 
 
 class Model:
@@ -61,6 +53,8 @@ class Model:
         if len(layer_sizes) < 2:
             raise ValueError("need at least input and output sizes")
         self.layer_sizes = tuple(int(s) for s in layer_sizes)
+        if min(self.layer_sizes) < 1:
+            raise ValueError(f"every layer needs at least one unit, got sizes {self.layer_sizes}")
         self.weights = []
         self.biases = []
         for fan_in, fan_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
@@ -135,18 +129,18 @@ class Model:
             w -= step[: w.size].reshape(w.shape)
             self.biases[i] -= step[w.size :]
 
-    def accuracy(self, x, y, batch=1024):
+    def accuracy(self, x, y):
         hits = 0
-        for i in range(0, len(y), batch):
-            probs = self.forward(x[i : i + batch])
-            hits += int(np.count_nonzero(probs.argmax(axis=1) == y[i : i + batch]))
+        for i in range(0, len(y), _EVAL_BATCH):
+            probs = self.forward(x[i : i + _EVAL_BATCH])
+            hits += int(np.count_nonzero(probs.argmax(axis=1) == y[i : i + _EVAL_BATCH]))
         return hits / len(y)
 
-    def dataset_loss(self, x, y, batch=1024):
+    def dataset_loss(self, x, y):
         total = 0.0
-        for i in range(0, len(y), batch):
-            yb = y[i : i + batch]
-            total += self._log_probs(x[i : i + batch], yb)[2] * len(yb)
+        for i in range(0, len(y), _EVAL_BATCH):
+            yb = y[i : i + _EVAL_BATCH]
+            total += self._log_probs(x[i : i + _EVAL_BATCH], yb)[2] * len(yb)
         return total / len(y)
 
 
@@ -185,7 +179,9 @@ class TrainConfig:
             raise ValueError(f"unknown quantizer {self.quantizer!r}")
         if self.bias_mode not in ("optimize", "polynomial"):
             raise ValueError(f"unknown bias_mode {self.bias_mode!r}")
-        if self.bias_mode == "polynomial" and self.fmt.with_bias(0.0) != fpq.FP4:
+        if self.fmt.bias != 0.0:
+            raise ValueError(f"fmt must have bias 0, got {self.fmt.bias}: every refresh chooses the bias")
+        if self.bias_mode == "polynomial" and self.fmt != fpq.FP4:
             raise ValueError("bias_mode 'polynomial' is fitted for FP4 [1,2,1] only")
         if self.rebuild not in ("epoch", "iteration"):
             raise ValueError(f"unknown rebuild cadence {self.rebuild!r}")
@@ -306,47 +302,36 @@ def _fit_layer(samples, previous, score_families):
     return reports, reports[-1].as_gennorm()  # fit_all lists the gennorm fit last
 
 
-class _Codec:
-    """Per-layer formats and codebooks, refreshed per the rebuild cadence."""
+def _refresh(inputs, epoch, metrics, previous, first_of_epoch):
+    """(format, codebook, GenNorm) per layer, refitted from this round's quantizer inputs ``inputs[u][layer]``, pooled over users.
 
-    def __init__(self, config):
-        self.config = config
-        self.formats = None
-        self.codebooks = None
-        self.gennorms = None
-
-    def refresh(self, inputs, epoch, metrics, first_of_epoch):
-        """Refit every layer from this round's quantizer inputs ``inputs[u][layer]``, pooled over users.
-
-        Only the epoch's first refresh scores the three families, adds fit
-        rows and keeps fit samples; every refresh refits the GenNorm that
-        the bias and codebook come from.
-        """
-        cfg = self.config
-        formats, codebooks, gennorms = [], [], []
-        for layer in range(len(inputs[0])):
-            samples = _subsample(np.concatenate([user[layer] for user in inputs]), FIT_SAMPLE_CAP)
-            previous = self.gennorms[layer] if self.gennorms else None
-            reports, gn = _fit_layer(samples, previous, first_of_epoch)
-            metrics.fit_rows += fit_rows(epoch, layer, reports)
-            if reports and cfg.keep_fit_samples:
-                metrics.fit_samples[(epoch, layer)] = samples
-            if cfg.bias_mode == "optimize":
-                b = fpq.optimize_bias(gn, cfg.fmt)
-            else:
-                b = fpq.bias_polynomial(gn.beta, gn.sigma)
-            # f32 so header-derived levels match encoder-side levels exactly
-            fmt = cfg.fmt.with_bias(float(np.float32(b)))
-            formats.append(fmt)
-            codebooks.append(entropy.build_codebook(distmodel.cell_probabilities(gn, fmt)))
-            gennorms.append(gn)
-        self.formats, self.codebooks, self.gennorms = formats, codebooks, gennorms
+    A layer that cannot be fitted keeps its GenNorm from ``previous``, the
+    last refresh's list. Only the epoch's first refresh scores the three
+    families, adds fit rows and keeps fit samples.
+    """
+    cfg = metrics.config
+    codecs = []
+    for layer in range(len(inputs[0])):
+        samples = _subsample(np.concatenate([user[layer] for user in inputs]), FIT_SAMPLE_CAP)
+        reports, gn = _fit_layer(samples, previous[layer][2] if previous else None, first_of_epoch)
+        metrics.fit_rows += fit_rows(epoch, layer, reports)
+        if reports and cfg.keep_fit_samples:
+            metrics.fit_samples[(epoch, layer)] = samples
+        if cfg.bias_mode == "optimize":
+            b = fpq.optimize_bias(gn, cfg.fmt)
+        else:
+            b = fpq.bias_polynomial(gn.beta, gn.sigma)
+        # f32 so header-derived levels match encoder-side levels exactly
+        fmt = cfg.fmt.with_bias(float(np.float32(b)))
+        codecs.append((fmt, entropy.build_codebook(distmodel.cell_probabilities(gn, fmt)), gn))
+    return codecs
 
 
-def run_round(model, losses, user_grads, inputs, states, codec, t, metrics, norm_sums):
+def run_round(model, losses, user_grads, inputs, states, codecs, t, metrics, norm_sums):
     """One synchronous PS round from every user's quantizer inputs: encode, uplink, decode, EF, descent.
 
-    Adds each layer's (l1 gradient, l1 memory) to its row of ``norm_sums``.
+    ``codecs`` is the last refresh's list (None without a quantizer). Adds each
+    layer's (l1 gradient, l1 memory) to its row of ``norm_sums``.
     """
     config = metrics.config
     bypass = config.quantizer == "identity"
@@ -359,8 +344,7 @@ def run_round(model, losses, user_grads, inputs, states, codec, t, metrics, norm
                 g_hat = v
                 decoded = v
             else:
-                fmt = codec.formats[layer]
-                cb = codec.codebooks[layer]
+                fmt, cb, _ = codecs[layer]
                 q = fpq.quantize(v, fmt)
                 metrics.saturated += fpq.count_saturated(v, fmt)
                 block = entropy.encode(q, cb, user_id=u, iteration=t, layer_id=layer)
@@ -411,8 +395,10 @@ def train(config, dataset):
         for u in range(config.users)
         for layer in range(model.n_layers)
     }
-    codec = _Codec(config)
+    codecs = None
     bypass = config.quantizer == "identity"
+    thirds = np.array_split(np.arange(model.n_layers), 3)
+    groups = [(name, members) for name, members in zip(LAYER_GROUPS, thirds) if members.size]
 
     metrics.epoch_rows.append(
         (
@@ -441,18 +427,16 @@ def train(config, dataset):
                 for u in range(config.users)
             ]
             if not bypass and (r == 0 or config.rebuild == "iteration"):
-                codec.refresh(inputs, epoch, metrics, first_of_epoch=r == 0)
-            loss = run_round(model, losses, grads, inputs, states, codec, t, metrics, norm_sums)
+                codecs = _refresh(inputs, epoch, metrics, codecs, first_of_epoch=r == 0)
+            loss = run_round(model, losses, grads, inputs, states, codecs, t, metrics, norm_sums)
             epoch_losses.append(loss)
             metrics.round_losses.append(loss)
             t += 1
         metrics.rounds = t
-        for group in LAYER_GROUPS:
-            members = [l for l in range(model.n_layers) if layer_group(l, model.n_layers) == group]
-            if members:
-                g_sum, m_sum = norm_sums[members].sum(axis=0)
-                count = len(members) * rounds * config.users
-                metrics.norm_rows.append((epoch, group, float(g_sum / count), float(m_sum / count)))
+        for group, members in groups:
+            g_sum, m_sum = norm_sums[members].sum(axis=0)
+            count = members.size * rounds * config.users
+            metrics.norm_rows.append((epoch, group, float(g_sum / count), float(m_sum / count)))
         metrics.epoch_rows.append(
             (
                 epoch,

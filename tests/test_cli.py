@@ -104,6 +104,29 @@ class TestTrain:
         assert code == 1
         assert "unknown config keys: include_headers_in_payload" in capsys.readouterr().err
 
+    def test_label_only_csv_fails_typed(self, tmp_path, capsys):
+        data = tmp_path / "labels.csv"
+        data.write_text("label\n" + "".join(f"{i % 2}\n" for i in range(20)))
+        code = run_cli(["train", "--dataset", "csv", "--data-path", str(data), "--epochs", "1",
+                        "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "error: every layer needs at least one unit" in capsys.readouterr().err
+
+    def test_fp_format_with_other_than_one_sign_bit_fails_typed(self, tmp_path, capsys):
+        code = run_cli(["train", "--fp", "2,2,1", "--epochs", "1", "--out", str(tmp_path / "o"),
+                        "--config", str(_small_blobs_config(tmp_path))])
+        assert code == 1
+        assert "error: fp format needs exactly one sign bit, got 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("gammas, rundir", [("0.1,0.10000001", "gamma_0.1"), ("0.5,0.9,0.5", "gamma_0.5")])
+    def test_gammas_that_share_a_run_directory_fail_before_training(self, tmp_path, capsys, gammas, rundir):
+        out = tmp_path / "sweep"
+        code = run_cli(["train", "--gamma", gammas, "--epochs", "1", "--out", str(out),
+                        "--config", str(_small_blobs_config(tmp_path))])
+        assert code == 1
+        assert f"share the run directory {rundir}," in capsys.readouterr().err
+        assert not out.exists()
+
     def test_flag_overrides_config_file(self, tmp_path):
         out = tmp_path / "prec"
         cfg = _small_blobs_config(tmp_path, extra={"epochs": 3})

@@ -360,6 +360,22 @@ class TestCellProbabilities:
         expected = scipy.stats.norm.cdf(0.125) - scipy.stats.norm.cdf(-0.125)
         assert p[7] == pytest.approx(expected, abs=1e-12)
 
+    def test_cells_near_the_float64_limit_keep_their_mass(self):
+        # the top FP4 levels at bias 1023.15 are 1.50e308 and 1.75e308, whose sum overflows
+        d = GenNormParams(2.0, 0.0, 1e308)  # Normal with standard deviation 1e308 / sqrt(2)
+        fmt = FP4.with_bias(1023.15)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = cell_probabilities(d, fmt)
+        from co3.fpq import enumerate_levels
+
+        unit = enumerate_levels(fmt) / d.alpha
+        edges = 0.5 * (unit[:-1] + unit[1:])
+        mass = np.diff(np.concatenate(([0.0], scipy.stats.norm.cdf(edges * math.sqrt(2.0)), [1.0])))
+        expected = (mass + distmodel.CELL_PROB_FLOOR) / (mass + distmodel.CELL_PROB_FLOOR).sum()
+        assert p[:3].min() > 1e-3 and p[-3:].min() > 1e-3
+        assert p == pytest.approx(expected, rel=1e-9)
+
     def test_cells_non_negative_before_flooring(self):
         d = unit_variance(0.7)
         from co3.fpq import enumerate_levels

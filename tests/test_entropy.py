@@ -300,7 +300,6 @@ class TestEncodeDecode:
             symbol_count=good.symbol_count,
             payload=bytes([good.payload[0] | 0b1]),
             pad_bits=good.pad_bits,
-            payload_bits=good.payload_bits,
         )
         with pytest.raises(CorruptionError, match="pad"):
             decode(corrupted, cb, 3)

@@ -133,8 +133,6 @@ class TestFormat:
         with pytest.raises(ValueError):
             FpFormat(mant_bits=2, exp_bits=0)
         with pytest.raises(ValueError):
-            FpFormat(mant_bits=2, exp_bits=1, sign_bits=2)
-        with pytest.raises(ValueError):
             FpFormat(mant_bits=2, exp_bits=1, bias=float("nan"))
 
     def test_formats_with_a_non_finite_top_level_rejected(self):

@@ -15,7 +15,6 @@ from co3.trainer import (
     TrainConfig,
     _fit_layer,
     epoch_batches,
-    layer_group,
     train,
 )
 
@@ -93,6 +92,11 @@ class TestModel:
                 rel_errs.append(abs(fd - flat[j]) / denom)
         assert max(rel_errs) < 1e-4
 
+    @pytest.mark.parametrize("sizes", [(0, 3), (4, 0), (4, 0, 3)])
+    def test_layer_sizes_below_one_rejected(self, sizes):
+        with pytest.raises(ValueError, match="at least one unit"):
+            Model(sizes, np.random.default_rng(0))
+
     def test_label_out_of_range(self):
         model = small_model()
         x = np.zeros((2, 6))
@@ -131,16 +135,41 @@ class TestSchedules:
         joined = np.sort(np.concatenate(shards))
         assert np.array_equal(joined, np.arange(101))
 
-    def test_layer_groups(self):
-        assert [layer_group(i, 3) for i in range(3)] == ["lower", "middle", "upper"]
-        assert layer_group(0, 1) == "lower"
+    @pytest.mark.parametrize(
+        "n_layers, thirds",
+        [(1, [[0]]), (2, [[0], [1]]), (3, [[0], [1], [2]]), (4, [[0, 1], [2], [3]])],
+        ids=["1_layer", "2_layers", "3_layers", "4_layers"],
+    )
+    def test_norm_rows_follow_the_thirds_of_the_stack(self, small, n_layers, thirds):
+        cfg = TrainConfig(epochs=2, users=2, seed=3, batch_size=32, hidden=(5,) * (n_layers - 1), track_history=True)
+        metrics, model = train(cfg, small)
+        names = ["lower", "middle", "upper"][: len(thirds)]  # a third with no layer has no row
+        assert [row[:2] for row in metrics.norm_rows] == [(e, g) for e in (1, 2) for g in names]
+        # replay every memory; a row averages its layers' L1 norms over the epoch's rounds and users
+        rounds = metrics.rounds // cfg.epochs
+        last_epoch = {}
+        for (u, layer), steps in metrics.history.items():
+            state = feedback.init_state(model.layer_param_count(layer), cfg.gamma)
+            for r, (g, g_hat) in enumerate(steps):
+                feedback.update(state, g, g_hat)
+                if r >= rounds:
+                    last_epoch.setdefault(layer, []).append(feedback.norms(state, g))
+        for (_, group, l1_g, l1_m), members in zip(metrics.norm_rows[len(names) :], thirds):
+            norms = np.array([n for layer in members for n in last_epoch[layer]])
+            assert len(norms) == len(members) * rounds * cfg.users, group
+            assert (l1_g, l1_m) == pytest.approx(tuple(norms.mean(axis=0)), rel=1e-12)
 
 
 class TestTrainConfig:
     def test_polynomial_bias_needs_fp4(self):
-        TrainConfig(bias_mode="polynomial", fmt=FP4.with_bias(1.5))
+        TrainConfig(bias_mode="polynomial", fmt=FP4)
         with pytest.raises(ValueError, match="FP4"):
             TrainConfig(bias_mode="polynomial", fmt=FpFormat(mant_bits=4, exp_bits=3))
+
+    @pytest.mark.parametrize("bias", [1.5, -0.25])
+    def test_rejects_a_format_bias_the_refresh_would_replace(self, bias):
+        with pytest.raises(ValueError, match="refresh chooses the bias"):
+            TrainConfig(fmt=FP4.with_bias(bias))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -423,13 +452,14 @@ class TestTrain:
     @pytest.mark.parametrize("rebuild", ["epoch", "iteration"])
     def test_polynomial_bias_mode_trains_reproducibly(self, small, monkeypatch, rebuild):
         refreshes = []
-        original = trainer._Codec.refresh
+        original = trainer._refresh
 
-        def recording(codec, *args, **kwargs):
-            original(codec, *args, **kwargs)
-            refreshes.append(list(zip(codec.formats, codec.gennorms)))
+        def recording(*args, **kwargs):
+            codecs = original(*args, **kwargs)
+            refreshes.append([(fmt, gn) for fmt, _, gn in codecs])
+            return codecs
 
-        monkeypatch.setattr(trainer._Codec, "refresh", recording)
+        monkeypatch.setattr(trainer, "_refresh", recording)
         cfg = TrainConfig(epochs=2, users=2, seed=7, batch_size=32, bias_mode="polynomial", rebuild=rebuild,
                           keep_streams=True)
         m1, model1 = train(cfg, small)

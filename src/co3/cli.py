@@ -66,7 +66,6 @@ _SETTINGS = {
     "seed": _Setting("--seed", int, "seed"),
     "quantizer": _Setting("--quantizer", str, "quantizer", help="fp or identity"),
     "bias_mode": _Setting("--bias-mode", str, "bias_mode", help="optimize or polynomial"),
-    "shard_mode": _Setting("--shard-mode", str, "shard_mode", help="partition or replicate"),
     "hidden": _Setting(None, _parse_hidden, "hidden"),
     "dataset": _Setting("--dataset", str, default="blobs", help="blobs, cifar10 (first 5,000 train, 1,000 test images), idx or csv"),
     "data_path": _Setting("--data-path", str),
@@ -182,6 +181,8 @@ def cmd_bias_sweep(args):
         raise ValueError("beta range must lie within (0, 5]")
     if not (math.isfinite(args.beta_step) and args.beta_step > 0):
         raise ValueError(f"--beta-step must be positive and finite, got {args.beta_step}")
+    if not (math.isfinite(args.sigma) and args.sigma > 0):
+        raise ValueError(f"--sigma must be positive and finite, got {args.sigma}")
     fmt = _parse_fp(args.fp)
     betas = np.arange(args.beta_min, args.beta_max + 1e-9, args.beta_step)
     outpath = Path(os.environ.get("CO3_OUT") or args.out)
@@ -206,17 +207,14 @@ def cmd_bias_sweep(args):
 def cmd_fit_dist(args):
     rundir = Path(args.run)
     sampledir = rundir / "samples"
-    samples = []
+    samples = {}
     for f in sampledir.glob("epoch*_layer*.npy"):
         epoch, layer = f.stem.split("_layer")  # epochNNNN_layerL
-        samples.append((int(epoch[5:]), int(layer), f))
+        samples[(int(epoch[5:]), int(layer))] = np.load(f).astype(np.float64)
     if not samples:
         raise FileNotFoundError(f"no gradient samples under {sampledir}; run `co3 train` first")
     outpath = Path(args.out) if args.out else rundir / "fits.csv"
-    rows = []
-    for epoch, layer, f in sorted(samples):  # numeric order, as co3 train writes its rows
-        rows += trainer.fit_rows(epoch, layer, distmodel.fit_all(np.load(f).astype(np.float64)))
-    trainer.write_fits(outpath, rows)
+    trainer.write_fits(outpath, trainer.fit_table(samples))
     print(f"wrote {outpath}")
     return 0
 
@@ -224,7 +222,10 @@ def cmd_fit_dist(args):
 def cmd_codec(args):
     fmt = _parse_fp(args.fp)
     if args.mode == "encode":
-        x = np.fromfile(args.infile, dtype="<f4").astype(np.float64)
+        raw = Path(args.infile).read_bytes()
+        if len(raw) % 4:
+            raise ValueError(f"{args.infile} holds {len(raw)} bytes, not a whole number of 4-byte f32 values")
+        x = np.frombuffer(raw, dtype="<f4").astype(np.float64)
         dist = distmodel.GenNormParams(args.beta, args.mu, args.alpha)
         bias = args.bias if args.bias is not None else fpq.optimize_bias(dist, fmt)
         fmt = fmt.with_bias(float(np.float32(bias)))
@@ -264,6 +265,7 @@ def cmd_report(args):
         "bits_per_param_per_round",
         "param_count",
         "rounds",
+        "fit_fallbacks",
         "wall_time_s",
     ):
         if k in keys:

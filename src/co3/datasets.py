@@ -33,7 +33,9 @@ class Dataset:
         ):
             if x.ndim != 2 or x.shape[0] != y.shape[0]:
                 raise ValueError(f"{split} features/labels are inconsistent")
-            if y.size and (y.min() < 0 or y.max() >= self.n_classes):
+            if y.size == 0:
+                raise ValueError(f"the {split} split is empty")
+            if y.min() < 0 or y.max() >= self.n_classes:
                 raise ValueError(f"{split} label out of range [0, {self.n_classes})")
         if self.x_train.shape[1] != self.x_test.shape[1]:
             raise ValueError("train/test feature dimensions differ")

@@ -7,9 +7,9 @@ round runs in three steps:
    layer's quantizer input g + gamma * m, once, before any memory moves;
 2. if a refresh is due, the GenNorm fit, exponent biases and codebooks are
    rebuilt from those inputs, pooled over users (at the first round of each
-   epoch by default, at every round with ``rebuild="iteration"``); the
-   epoch's first refresh also fits the Normal and Laplace models and scores
-   all three with W2 for ``fits.csv``, and only its sample is kept;
+   epoch by default, at every round with ``rebuild="iteration"``); with
+   ``keep_fit_samples`` the epoch's first refresh keeps each fitted layer's
+   sample, and ``fits.csv`` fits and scores the three families on those;
 3. every user quantizes the same inputs to the low-bit floating-point grid,
    Huffman-encodes the symbols, and "uplinks" the block; the server decodes
    every stream and applies the descent step
@@ -163,7 +163,6 @@ class TrainConfig:
     bias_mode: str = "optimize"  # "optimize" | "polynomial"
     rebuild: str = "epoch"  # fit/bias/codebook cadence: "epoch" | "iteration"
     hidden: tuple = (128, 64)
-    shard_mode: str = "partition"  # "partition" | "replicate" (identical data + streams)
     track_history: bool = False
     keep_streams: bool = False
     keep_fit_samples: bool = False
@@ -185,8 +184,6 @@ class TrainConfig:
             raise ValueError("bias_mode 'polynomial' is fitted for FP4 [1,2,1] only")
         if self.rebuild not in ("epoch", "iteration"):
             raise ValueError(f"unknown rebuild cadence {self.rebuild!r}")
-        if self.shard_mode not in ("partition", "replicate"):
-            raise ValueError(f"unknown shard_mode {self.shard_mode!r}")
         if not all(h >= 1 for h in self.hidden):
             raise ValueError(f"hidden layer sizes must be >= 1, got {self.hidden}")
 
@@ -198,7 +195,6 @@ class RunMetrics:
     config: TrainConfig
     param_count: int
     epoch_rows: list = field(default_factory=list)  # epoch, gamma, train_loss, test_acc, cum_bits
-    fit_rows: list = field(default_factory=list)  # epoch, layer, family, beta, mu, scale, w2
     norm_rows: list = field(default_factory=list)  # epoch, group, l1_gradient, l1_memory
     round_losses: list = field(default_factory=list)
     ledger: entropy.PayloadLedger = field(default_factory=entropy.PayloadLedger)
@@ -208,6 +204,7 @@ class RunMetrics:
     fit_samples: dict = field(default_factory=dict)  # (epoch, layer) -> float64 array
     rounds: int = 0
     saturated: int = 0
+    fit_fallbacks: int = 0  # (refresh, layer) pairs whose GenNorm fit failed and fell back
     wall_time: float = 0.0
 
     @property
@@ -230,7 +227,7 @@ class RunMetrics:
             w.writerow(["epoch", "gamma", "train_loss", "test_accuracy", "cum_bits"])
             for row in self.epoch_rows:
                 w.writerow([row[0], row[1], repr(row[2]), repr(row[3]), row[4]])
-        write_fits(out / "fits.csv", self.fit_rows)
+        write_fits(out / "fits.csv", fit_table(self.fit_samples))
         with open(out / "norms.csv", "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["epoch", "layer_group", "l1_gradient", "l1_memory"])
@@ -247,6 +244,7 @@ class RunMetrics:
             fh.write(f"bits_per_param_per_round: {self.bits_per_param_per_round():.6f}\n")
             fh.write(f"final_test_accuracy: {self.final_accuracy:.6f}\n")
             fh.write(f"saturated_entries: {self.saturated}\n")
+            fh.write(f"fit_fallbacks: {self.fit_fallbacks}\n")
             fh.write(f"wall_time_s: {self.wall_time:.3f}\n")
         if self.fit_samples:
             sampledir = out / "samples"
@@ -255,9 +253,13 @@ class RunMetrics:
                 np.save(sampledir / f"epoch{epoch:04d}_layer{layer}.npy", arr)
 
 
-def fit_rows(epoch, layer, reports):
-    """fits.csv rows (epoch, layer, family, beta, mu, scale, w2) of one layer's fit reports."""
-    return [(epoch, layer, r.family, r.beta, r.mu, r.scale, r.w2) for r in reports]
+def fit_table(samples):
+    """fits.csv rows (epoch, layer, family, beta, mu, scale, w2): ``fit_all`` of each (epoch, layer) -> values sample, in numeric order."""
+    return [
+        (epoch, layer, r.family, r.beta, r.mu, r.scale, r.w2)
+        for (epoch, layer), values in sorted(samples.items())
+        for r in distmodel.fit_all(values)
+    ]
 
 
 def write_fits(path, rows):
@@ -280,42 +282,36 @@ def _subsample(values, cap):
     return values[idx]
 
 
-def _fit_layer(samples, previous, score_families):
-    """(fit reports, GenNorm) of one layer.
+def _fit_layer(samples, previous):
+    """(GenNorm, whether it was fitted) of one layer.
 
-    With ``score_families`` all three families are fitted and scored by W2;
-    otherwise only the GenNorm is, and there are no reports. ``fit_gennorm``
-    raises the typed errors that ``fit_all`` does, so a degenerate layer
-    falls back alike on both paths: no reports, and the last GenNorm or a
-    narrow Normal.
+    A sample that ``fit_gennorm`` rejects with a typed error falls back to
+    ``previous``, the layer's last GenNorm, or without one to a narrow Normal.
     """
     try:
-        if not score_families:
-            return [], distmodel.fit_gennorm(samples)
-        reports = distmodel.fit_all(samples)
+        return distmodel.fit_gennorm(samples), True
     except (distmodel.DegenerateSampleError, distmodel.InsufficientDataError):
         if previous is not None:
-            return [], previous
+            return previous, False
         mean, sd = distmodel.mean_std(samples)
         alpha = min(max(sd, _FALLBACK_ALPHA) * math.sqrt(2.0), sys.float_info.max)
-        return [], distmodel.GenNormParams(2.0, mean, alpha)
-    return reports, reports[-1].as_gennorm()  # fit_all lists the gennorm fit last
+        return distmodel.GenNormParams(2.0, mean, alpha), False
 
 
 def _refresh(inputs, epoch, metrics, previous, first_of_epoch):
     """(format, codebook, GenNorm) per layer, refitted from this round's quantizer inputs ``inputs[u][layer]``, pooled over users.
 
     A layer that cannot be fitted keeps its GenNorm from ``previous``, the
-    last refresh's list. Only the epoch's first refresh scores the three
-    families, adds fit rows and keeps fit samples.
+    last refresh's list, and counts as a fit fallback. Only the epoch's first
+    refresh keeps fit samples, and only of the layers it fitted.
     """
     cfg = metrics.config
     codecs = []
     for layer in range(len(inputs[0])):
         samples = _subsample(np.concatenate([user[layer] for user in inputs]), FIT_SAMPLE_CAP)
-        reports, gn = _fit_layer(samples, previous[layer][2] if previous else None, first_of_epoch)
-        metrics.fit_rows += fit_rows(epoch, layer, reports)
-        if reports and cfg.keep_fit_samples:
+        gn, fitted = _fit_layer(samples, previous[layer][2] if previous else None)
+        metrics.fit_fallbacks += not fitted
+        if fitted and first_of_epoch and cfg.keep_fit_samples:
             metrics.fit_samples[(epoch, layer)] = samples
         if cfg.bias_mode == "optimize":
             b = fpq.optimize_bias(gn, cfg.fmt)
@@ -375,18 +371,8 @@ def train(config, dataset):
 
     n_train = len(dataset.y_train)
     shard_rng = np.random.default_rng(np.random.SeedSequence([config.seed, 2]))
-    if config.shard_mode == "partition":
-        shards = shard_indices(n_train, config.users, shard_rng)
-        data_rngs = [
-            np.random.default_rng(np.random.SeedSequence([config.seed ^ u, 1]))
-            for u in range(config.users)
-        ]
-    else:
-        shards = [np.arange(n_train) for _ in range(config.users)]
-        data_rngs = [
-            np.random.default_rng(np.random.SeedSequence([config.seed, 1]))
-            for _ in range(config.users)
-        ]
+    shards = shard_indices(n_train, config.users, shard_rng)
+    data_rngs = [np.random.default_rng(np.random.SeedSequence([config.seed ^ u, 1])) for u in range(config.users)]
     if min(s.size for s in shards) == 0:
         raise ValueError(f"{config.users} users need at least one training sample each, got {n_train} samples")
 

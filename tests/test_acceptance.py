@@ -38,7 +38,7 @@ from co3 import (
 )
 from co3.entropy import EncodedBlock, decode_block
 from co3.feedback import replay_memory
-from co3.trainer import Model, epoch_batches
+from co3.trainer import Model, epoch_batches, fit_table
 from co3.datasets import shard_indices
 
 # desk-scale task: image-like sub-unit feature scale keeps the run in its
@@ -76,7 +76,9 @@ def sweep_runs(desk_dataset):
             ("g0", 0.0, "fp"),
             ("g09", 0.9, "fp"),
         ):
-            cfg = TrainConfig(epochs=SWEEP_EPOCHS, gamma=gamma, quantizer=quantizer, seed=seed)
+            # criterion 8 fits the three families to the kept samples
+            cfg = TrainConfig(epochs=SWEEP_EPOCHS, gamma=gamma, quantizer=quantizer, seed=seed,
+                              keep_fit_samples=True)
             runs[(mode, seed)], _ = train(cfg, desk_dataset)
     runs["elapsed"] = time.perf_counter() - t0
     return runs
@@ -281,7 +283,7 @@ def test_c7_gamma_sweep_trend(sweep_runs):
 
 
 def test_c8_gennorm_fit_dominance(sweep_runs):
-    rows = sweep_runs[("g09", 0)].fit_rows
+    rows = fit_table(sweep_runs[("g09", 0)].fit_samples)
     by_key = {}
     for epoch, layer, family, beta, mu, scale, w2 in rows:
         by_key.setdefault((epoch, layer), {})[family] = w2

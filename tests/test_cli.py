@@ -104,6 +104,20 @@ class TestTrain:
         assert code == 1
         assert "unknown config keys: include_headers_in_payload" in capsys.readouterr().err
 
+    def test_shard_mode_key_is_gone(self, tmp_path, capsys):
+        cfg = _small_blobs_config(tmp_path, extra={"shard_mode": "replicate"})
+        code = run_cli(["train", "--config", str(cfg), "--epochs", "1", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "unknown config keys: shard_mode" in capsys.readouterr().err
+
+    def test_empty_test_split_fails_typed(self, tmp_path, capsys):
+        # 4 // 5 = 0 test samples
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"blobs_n": 4, "blobs_classes": 2}))
+        code = run_cli(["train", "--config", str(cfg), "--epochs", "1", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: the test split is empty\n"
+
     def test_label_only_csv_fails_typed(self, tmp_path, capsys):
         data = tmp_path / "labels.csv"
         data.write_text("label\n" + "".join(f"{i % 2}\n" for i in range(20)))
@@ -197,6 +211,13 @@ class TestBiasSweep:
         out = tmp_path / "x.csv"
         assert run_cli(["bias-sweep", "--beta-step", step, "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: --beta-step must be positive and finite")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sigma", ["0", "-1", "nan", "inf"])
+    def test_sigma_must_be_positive_and_finite(self, tmp_path, capsys, sigma):
+        out = tmp_path / "x.csv"
+        assert run_cli(["bias-sweep", "--sigma", sigma, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: --sigma must be positive and finite")
         assert not out.exists()
 
 
@@ -302,6 +323,14 @@ class TestCodec:
         assert run_cli(args) == 1
         assert capsys.readouterr().err.startswith("error: the standard deviation")
 
+    def test_encode_rejects_a_partial_trailing_value(self, tmp_path, capsys):
+        infile, outfile = tmp_path / "g.f32", tmp_path / "g.co3"
+        infile.write_bytes(np.ones(5, dtype="<f4").tobytes() + b"\x00\x00")  # 22 bytes
+        assert run_cli(["codec", "encode", str(infile), str(outfile)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "22 bytes" in err
+        assert not outfile.exists()
+
     def test_corrupted_magic_errors(self, tmp_path, capsys):
         rng = np.random.default_rng(1)
         infile = tmp_path / "x.f32"
@@ -328,6 +357,16 @@ class TestReport:
         assert "final_test_accuracy" in text
         assert "total_uplink_bits" in text
         assert "bits_per_param_per_round" in text
+
+    def test_prints_fit_fallbacks(self, tmp_path, capsys):
+        # hidden (20,) leaves the 3-class output layer 63 values, under the 100 a fit needs
+        out = tmp_path / "run"
+        cfg = _small_blobs_config(tmp_path, extra={"hidden": [20]})
+        assert run_cli(["train", "--epochs", "1", "--out", str(out), "--config", str(cfg)]) == 0
+        assert "fit_fallbacks: 1\n" in (out / "summary.txt").read_text()
+        capsys.readouterr()
+        assert run_cli(["report", str(out)]) == 0
+        assert "fit_fallbacks: 1\n" in capsys.readouterr().out
 
     def test_missing_run(self, tmp_path, capsys):
         assert run_cli(["report", str(tmp_path / "nope")]) != 0

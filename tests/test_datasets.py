@@ -178,6 +178,18 @@ class TestDatasetValidation:
         with pytest.raises(ValueError):
             Dataset(x, np.array([0, 1, 2, 5]), x, np.array([0, 0, 0, 0]), 3)
 
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_empty_split_rejected(self, split):
+        x, y = np.zeros((4, 2)), np.zeros(4, dtype=int)
+        empty = (x[:0], y[:0])
+        parts = (empty + (x, y)) if split == "train" else ((x, y) + empty)
+        with pytest.raises(ValueError, match=f"the {split} split is empty"):
+            Dataset(*parts, 2)
+
+    def test_blobs_without_test_samples_rejected(self):
+        with pytest.raises(ValueError, match="the test split is empty"):
+            synth_blobs(50, 2, 3, 0, n_test=0)
+
     def test_feature_dims_must_match(self):
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 3)), np.zeros(2, dtype=int),

@@ -200,12 +200,14 @@ class TestTrain:
         assert epoch == 0 and bits == 0 and 0.0 <= acc <= 1.0
 
     def test_same_seed_bit_identical(self, blobs):
-        cfg = TrainConfig(epochs=2, seed=9, users=2, gamma=0.5)
+        cfg = TrainConfig(epochs=2, seed=9, users=2, gamma=0.5, keep_fit_samples=True)
         m1, _ = train(cfg, blobs)
         m2, _ = train(cfg, blobs)
         assert m1.round_losses == m2.round_losses
         assert m1.epoch_rows == m2.epoch_rows
-        assert m1.fit_rows == m2.fit_rows
+        rows = trainer.fit_table(m1.fit_samples)
+        assert len(rows) == 3 * 3 * cfg.epochs  # families x layers x epochs
+        assert rows == trainer.fit_table(m2.fit_samples)
         assert m1.ledger.records == m2.ledger.records
 
     def test_bypass_matches_reference_sgd_bitwise(self, blobs):
@@ -230,14 +232,28 @@ class TestTrain:
         assert metrics.ledger.total() == 0
 
     def test_user_count_invariance_with_replicated_shards(self, blobs):
-        base = dict(epochs=1, seed=2, gamma=0.9, shard_mode="replicate")
-        m1, model1 = train(TrainConfig(users=1, **base), blobs)
-        m2, model2 = train(TrainConfig(users=2, **base), blobs)
-        assert m1.round_losses == m2.round_losses
-        assert all(np.array_equal(a, b) for a, b in zip(model1.weights, model2.weights))
-        # identical per-user streams: same payload bits recorded for both users
-        for (u, t, layer), rec in m2.ledger.records.items():
-            assert rec == m2.ledger.records[(0, t, layer)]
+        # two users with one user's batch, gradients and fresh memory, coded
+        # with one codec list, take the step that user takes alone
+        x, y = blobs.x_train[:64], blobs.y_train[:64]
+        loss, grads = small_model(sizes=(8, 12, 4)).loss_and_grads(x, y)
+        codecs = None
+        runs = []
+        for users in (1, 2):
+            cfg = TrainConfig(users=users, gamma=0.9)
+            model = small_model(sizes=(8, 12, 4))
+            metrics = trainer.RunMetrics(config=cfg, param_count=model.param_count)
+            states = {(u, l): feedback.init_state(g.size, cfg.gamma) for u in range(users) for l, g in enumerate(grads)}
+            inputs = [[feedback.corrected_input(states[(u, l)], g) for l, g in enumerate(grads)] for u in range(users)]
+            codecs = codecs or trainer._refresh(inputs, 1, metrics, None, True)
+            norm_sums = np.zeros((len(grads), 2))
+            mean = trainer.run_round(model, [loss] * users, [grads] * users, inputs, states, codecs, 0, metrics, norm_sums)
+            runs.append((mean, model, metrics.ledger.records))
+        (loss1, model1, records1), (loss2, model2, records2) = runs
+        assert loss1 == loss2 == loss
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(model1.weights + model1.biases, model2.weights + model2.biases))
+        assert len(records2) == 2 * len(grads)
+        for (u, t, layer), rec in records2.items():
+            assert rec == records1[(0, t, layer)]
 
     def test_training_loss_mostly_non_increasing(self, blobs):
         cfg = TrainConfig(epochs=6, seed=0, quantizer="identity")
@@ -286,11 +302,12 @@ class TestTrain:
 
     def test_iteration_rebuild_cadence_runs(self, blobs):
         small = synth_blobs(160, 3, 6, seed=1, n_test=30)
-        cfg = TrainConfig(epochs=1, rebuild="iteration", batch_size=64, seed=0)
+        cfg = TrainConfig(epochs=1, rebuild="iteration", batch_size=64, seed=0, keep_fit_samples=True)
         metrics, _ = train(cfg, small)
-        assert metrics.rounds > 1  # later rounds refresh too, without adding rows
-        assert len({e for e, *_ in metrics.fit_rows}) == 1
-        assert len(metrics.fit_rows) == 3 * 3 * cfg.epochs  # families x layers x epochs
+        assert metrics.rounds > 1  # later rounds refresh too, without keeping samples
+        rows = trainer.fit_table(metrics.fit_samples)
+        assert len({e for e, *_ in rows}) == 1
+        assert len(rows) == 3 * 3 * cfg.epochs  # families x layers x epochs
 
     @pytest.mark.parametrize("rebuild", ["epoch", "iteration"])
     def test_refresh_fits_the_rounds_own_quantizer_input(self, small, rebuild):
@@ -308,7 +325,7 @@ class TestTrain:
             assert samples.tobytes() == (cfg.gamma * memory + hist[k][0]).tobytes()
 
     def test_every_iteration_refresh_refits_the_codebooks_gennorm(self, small, monkeypatch):
-        # rounds after the epoch's first add no fit rows, yet each codebook
+        # rounds after the epoch's first keep no fit sample, yet each codebook
         # still comes from a GenNorm fitted to that round's pooled sample
         models = []
         original = distmodel.cell_probabilities
@@ -324,13 +341,12 @@ class TestTrain:
         assert per_epoch > 1
         assert len(models) == metrics.rounds * model.n_layers
         for k in range(metrics.rounds):
-            if k % per_epoch == 0:
-                continue
             for layer in range(model.n_layers):
                 pooled = []
                 for u in range(cfg.users):
                     hist = metrics.history[(u, layer)]
-                    pooled.append(cfg.gamma * replay_memory(cfg.gamma, hist[:k]) + hist[k][0])
+                    memory = replay_memory(cfg.gamma, hist[:k]) if k else 0.0
+                    pooled.append(cfg.gamma * memory + hist[k][0])
                 assert models[k * model.n_layers + layer] == fit_gennorm(np.concatenate(pooled))
 
     @pytest.mark.parametrize(
@@ -344,51 +360,56 @@ class TestTrain:
     )
     @pytest.mark.parametrize("previous", [None, GenNormParams(1.3, 0.0, 0.02)])
     def test_both_refresh_paths_fall_back_alike(self, samples, previous):
+        # the refresh's GenNorm fit falls back where fit_table's fit_all
+        # fails, so a layer without a fitted GenNorm has no sample and no row
         if previous is None:
             sd = max(float(np.std(samples)), 1e-8)
             expected = GenNormParams(2.0, float(np.mean(samples)), sd * math.sqrt(2.0))
         else:
             expected = previous
-        assert _fit_layer(samples, previous, True) == ([], expected)
-        assert _fit_layer(samples, previous, False) == ([], expected)
+        assert _fit_layer(samples, previous) == (expected, False)
+        with pytest.raises((distmodel.DegenerateSampleError, distmodel.InsufficientDataError)):
+            trainer.fit_table({(1, 0): samples})
 
     def test_both_refresh_paths_fit_the_same_gennorm(self):
+        # fits.csv's GenNorm row is the refresh's GenNorm
         samples = np.random.default_rng(8).laplace(0.001, 0.02, 2000)
-        reports, gn = _fit_layer(samples, None, True)
-        assert [r.family for r in reports] == ["normal", "laplace", "gennorm"]
-        assert _fit_layer(samples, None, False) == ([], gn)
-        assert gn == fit_gennorm(samples)
+        gn, fitted = _fit_layer(samples, None)
+        assert fitted and gn == fit_gennorm(samples)
+        rows = trainer.fit_table({(1, 0): samples})
+        assert [row[:3] for row in rows] == [(1, 0, "normal"), (1, 0, "laplace"), (1, 0, "gennorm")]
+        assert GenNormParams(*rows[-1][3:6]) == gn
 
     def test_both_refresh_paths_fit_and_fall_back_at_scale_1e160(self):
         # alpha^2 and np.std's squares overflow float64 here; 2^531 rescales exactly
         unit = np.random.default_rng(9).laplace(0.001, 1.0, 2000)
         samples = unit * 2.0**531
-        reports, gn = _fit_layer(samples, None, True)
-        assert [r.family for r in reports] == ["normal", "laplace", "gennorm"]
-        assert all(math.isfinite(v) for r in reports for v in (r.mu, r.scale, r.w2))
-        assert _fit_layer(samples, None, False) == ([], gn)
+        gn, fitted = _fit_layer(samples, None)
+        rows = trainer.fit_table({(1, 0): samples})
+        assert fitted and [row[2] for row in rows] == ["normal", "laplace", "gennorm"]
+        assert all(math.isfinite(v) for row in rows for v in row[3:])
+        assert GenNormParams(*rows[-1][3:6]) == gn
         ref = fit_gennorm(unit)
         assert gn.beta == pytest.approx(ref.beta, rel=1e-6)
         assert gn.alpha == pytest.approx(ref.alpha * 2.0**531, rel=1e-6)
         assert optimize_bias(gn, FP4) == pytest.approx(optimize_bias(ref, FP4) + 531, abs=1e-6)
-        # too few values to fit: both paths fall back to a finite narrow Normal
+        # too few values to fit: the refresh falls back to a finite narrow Normal
         few = samples[:50]
         sd = float(np.std(unit[:50])) * 2.0**531
         expected = GenNormParams(2.0, float(np.mean(unit[:50])) * 2.0**531, sd * math.sqrt(2.0))
-        assert _fit_layer(few, None, True) == ([], expected)
-        assert _fit_layer(few, None, False) == ([], expected)
+        assert _fit_layer(few, None) == (expected, False)
         # near float64's largest value sd * sqrt(2) overflows: the fallback keeps the largest finite alpha
         extreme = np.r_[np.full(30, 1.5e308), np.full(30, -1.5e308)]
-        assert _fit_layer(extreme, None, True) == ([], GenNormParams(2.0, 0.0, np.finfo(np.float64).max))
+        assert _fit_layer(extreme, None) == (GenNormParams(2.0, 0.0, np.finfo(np.float64).max), False)
 
     def test_layer_too_small_to_fit_keeps_its_first_fallback_model(self, small):
         # hidden=(20,) gives an output layer of 20 * 3 + 3 = 63 values, under
-        # the 100 a fit needs: it gets no fit rows, a narrow Normal at the
-        # first refresh and that same model at the next
+        # the 100 a fit needs: it keeps no sample and gets no fit rows, a
+        # narrow Normal at the first refresh and that same model at the next
         cfg = TrainConfig(epochs=2, seed=2, batch_size=32, hidden=(20,), keep_fit_samples=True,
                           keep_streams=True, track_history=True)
         metrics, _ = train(cfg, small)
-        assert {row[1] for row in metrics.fit_rows} == {0}
+        assert {row[1] for row in trainer.fit_table(metrics.fit_samples)} == {0}
         assert set(metrics.fit_samples) == {(1, 0), (2, 0)}
         g = metrics.history[(0, 1)][0][0]  # the first quantizer input, memory still zero
         gn = GenNormParams(2.0, float(np.mean(g)), float(np.std(g)) * math.sqrt(2.0))
@@ -396,6 +417,14 @@ class TestTrain:
         blocks = [EncodedBlock.from_bytes(raw) for raw in metrics.streams]
         assert {b.fmt.bias for b in blocks if b.layer_id == 1} == {expected}
         assert len({b.fmt.bias for b in blocks if b.layer_id == 0}) == 2
+
+    @pytest.mark.parametrize("rebuild", ["epoch", "iteration"])
+    def test_fit_fallbacks_count_each_refresh_of_a_layer_too_small_to_fit(self, small, rebuild):
+        # the 63-value output layer of hidden=(20,) falls back at every refresh; layer 0 never does
+        cfg = TrainConfig(epochs=2, seed=2, batch_size=32, hidden=(20,), rebuild=rebuild)
+        metrics, _ = train(cfg, small)
+        refreshes = cfg.epochs if rebuild == "epoch" else metrics.rounds
+        assert refreshes > 1 and metrics.fit_fallbacks == refreshes
 
     @pytest.mark.parametrize("rebuild", ["epoch", "iteration"])
     def test_one_gradient_pass_per_user_and_round(self, small, monkeypatch, rebuild):

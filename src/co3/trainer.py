@@ -254,7 +254,7 @@ class RunMetrics:
 
 
 def fit_table(samples):
-    """fits.csv rows (epoch, layer, family, beta, mu, scale, w2): ``fit_all`` of each (epoch, layer) -> values sample, in numeric order."""
+    """fits.csv rows (epoch, layer, family, beta, mu, scale, w2): ``fit_all`` of each sample of the dict ``samples``, in numeric (epoch, layer) order."""
     return [
         (epoch, layer, r.family, r.beta, r.mu, r.scale, r.w2)
         for (epoch, layer), values in sorted(samples.items())

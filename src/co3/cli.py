@@ -176,6 +176,10 @@ def cmd_train(args):
     return 0
 
 
+# rows of one bias sweep; each row is one optimize_bias call of a few milliseconds
+_SWEEP_ROW_CAP = 10_000
+
+
 def cmd_bias_sweep(args):
     if not (0 < args.beta_min <= args.beta_max <= 5):
         raise ValueError("beta range must lie within (0, 5]")
@@ -183,6 +187,10 @@ def cmd_bias_sweep(args):
         raise ValueError(f"--beta-step must be positive and finite, got {args.beta_step}")
     if not (math.isfinite(args.sigma) and args.sigma > 0):
         raise ValueError(f"--sigma must be positive and finite, got {args.sigma}")
+    rows = (args.beta_max + 1e-9 - args.beta_min) / args.beta_step  # np.arange's length, before rounding up
+    if rows > _SWEEP_ROW_CAP:
+        count = math.ceil(rows) if math.isfinite(rows) else rows
+        raise ValueError(f"--beta-step {args.beta_step} asks for {count} rows, more than the cap of {_SWEEP_ROW_CAP}")
     fmt = _parse_fp(args.fp)
     betas = np.arange(args.beta_min, args.beta_max + 1e-9, args.beta_step)
     outpath = Path(os.environ.get("CO3_OUT") or args.out)

@@ -21,18 +21,24 @@ bits. It runs in chunks of 8192 symbols, so no array holds an entry per bit.
 
 Decoding is one vectorized path for every code length up to 63 bits. Canonical
 codewords left-justified to the longest length ascend in (length, level) order,
-so comparing each payload bit's window with each length's first codeword (a
-searchsorted) gives the length and level of a codeword starting there. Pointer
-doubling composes lengths into jumps over 4 codewords; a Python walk visits
-every 4th start and strided gathers fill in the rest. Checked: no more symbols
-than payload bits (before allocating), none starting or ending past the payload,
-and exactly the declared pad bits after the last, all zero. Chunks of 8192
-windows and uint8 per-bit arrays keep large blocks under 16 bytes per bit.
+so the window of bits at each payload bit gives the length and level of a
+codeword starting there: a lookup table over the window's first
+k = min(longest, 12) bits holds them for every code of at most k bits, and the
+windows at or past the first longer code (few: their Kraft mass is small) are
+placed among each length's first codeword by a searchsorted. The tables are
+built once per codebook. Pointer doubling composes lengths into jumps over 4
+codewords; a Python walk visits every 4th start and strided gathers fill in
+the rest. Checked: no more symbols than payload bits (before allocating), none
+starting or ending past the payload, and exactly the declared pad bits after
+the last, all zero. Chunks of 8192 windows and uint8 per-bit arrays keep large
+blocks under 16 bytes per bit.
 """
 
 import heapq
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,6 +50,8 @@ _MAX_CODE_LEN = 63
 _DOUBLINGS = 2  # decode jumps 2**2 codewords at a time; 4 * 63 bits fit in uint8
 _CHUNK = 1 << 13  # bit positions per decode step, symbols per encode step; bounds the temporaries
 _BIT = np.arange(64, dtype=np.uint64)  # bit offset of a window within its word
+_RBIT = 64 - _BIT  # its shift into the next word
+_TABLE_BITS = 12  # decode looks up codes of at most this many bits by the window's first bits
 
 _HEADER = struct.Struct("<3sBHIHQBBBfH")  # through level_count
 
@@ -272,6 +280,54 @@ def encode(q, codebook, *, user_id=0, iteration=0, layer_id=0):
     )
 
 
+class _DecodeTables(NamedTuple):
+    """A codebook's canonical runs and its lookup table over the first bits of a window."""
+
+    order: np.ndarray  # levels in canonical (length, level) order
+    limits: np.ndarray  # left-justified first codeword of each run after the first
+    shifts: np.ndarray  # per run: window bits below its code length
+    offsets: np.ndarray  # per run: its first codeword minus its first canonical rank
+    run_lens: np.ndarray  # per run: its code length
+    lut_len: np.ndarray  # per prefix: length of the codeword it begins, 0 if longer than the table
+    lut_sym: np.ndarray  # per prefix: level of that codeword
+    long_from: np.uint64  # the first window (of the longest code's width) whose code is longer than the table
+
+
+@lru_cache(maxsize=64)
+def _decode_tables(codebook):
+    """Tables for ``decode``, built once per codebook; every array is read-only."""
+    order = np.argsort(codebook.code_lengths, kind="stable")
+    lens = np.asarray(codebook.code_lengths, dtype=np.uint64)[order]
+    codes = np.asarray(codebook.codewords, dtype=np.uint64)[order]
+    first = np.flatnonzero(np.diff(lens, prepend=0))
+    shifts = codebook.max_length - lens[first]
+    # a code of length l <= k begins 2**(k - l) of the k-bit prefixes; canonical codes
+    # of at most k bits fill the table in order from entry 0, the longer ones follow
+    k = min(codebook.max_length, _TABLE_BITS)
+    short = np.flatnonzero(lens <= k)
+    reps = 1 << (k - lens[short]).astype(np.int64)
+    sym_type = np.min_scalar_type(codebook.level_count - 1)
+    lut_len = np.zeros(1 << k, dtype=np.uint8)
+    lut_sym = np.zeros(1 << k, dtype=sym_type)
+    filled = int(reps.sum())
+    lut_len[:filled] = lens[short].astype(np.uint8).repeat(reps)
+    lut_sym[:filled] = order[short].astype(sym_type).repeat(reps)
+    tables = _DecodeTables(
+        order=order,
+        limits=codes[first[1:]] << shifts[1:],
+        shifts=shifts,
+        offsets=codes[first] - first.astype(np.uint64),
+        run_lens=lens[first].astype(np.uint8),
+        lut_len=lut_len,
+        lut_sym=lut_sym,
+        long_from=np.uint64(filled) << np.uint64(codebook.max_length - k),
+    )
+    for table in tables:
+        if isinstance(table, np.ndarray):
+            table.setflags(write=False)
+    return tables
+
+
 def decode(block, codebook, symbol_count=None):
     """Recover the exact symbol sequence; validates consumption and padding."""
     n = block.symbol_count if symbol_count is None else symbol_count
@@ -280,32 +336,31 @@ def decode(block, codebook, symbol_count=None):
     if n > nbits:
         raise TruncationError(f"{n} symbols cannot fit in {nbits} payload bits")
     out = np.empty(n, dtype=np.int32)
-    # canonical order; a run of one code length starts at each rank in `first`
-    order = np.argsort(codebook.code_lengths, kind="stable")
-    lens = np.asarray(codebook.code_lengths, dtype=np.uint64)[order]
-    codes = np.asarray(codebook.codewords, dtype=np.uint64)[order]
-    first = np.flatnonzero(np.diff(lens, prepend=0))
-    shifts = codebook.max_length - lens[first]
-    limits = codes[first[1:]] << shifts[1:]  # left-justified run starts
-    offsets = codes[first] - first.astype(np.uint64)
-    run_lens = lens[first].astype(np.uint8)
+    t = _decode_tables(codebook)
     pad = bytes(-len(block.payload) % 8 + 16)  # so that every window has a next word
     words = np.frombuffer(block.payload + pad, dtype=">u8").astype(np.uint64)
     to_width = np.uint64(64 - codebook.max_length)
+    to_prefix = np.uint64(codebook.max_length - min(codebook.max_length, _TABLE_BITS))
     # d[p], sym[p]: length and level of a codeword starting at bit p; d is 0
     # from nbits on, so that every walk which leaves the payload stops there
     d = np.zeros(nbits + 64, dtype=np.uint8)
-    sym = np.zeros(d.size, dtype=np.min_scalar_type(codebook.level_count - 1))
+    sym = np.zeros(d.size, dtype=t.lut_sym.dtype)
     for a in range(0, nbits, _CHUNK):
         w = words[a >> 6 : (a + _CHUNK >> 6) + 1, None]
-        win = (((w[:-1] << _BIT) | (w[1:] >> (64 - _BIT))) >> to_width).ravel()[: nbits - a]
-        # the window's run is the number of run starts it reaches
-        run = np.zeros(win.size, dtype=np.uint8)
-        for limit in limits:
-            run += win >= limit
-        run = run.astype(np.intp)
-        d[a : a + win.size] = run_lens[run]
-        sym[a : a + win.size] = order[((win >> shifts[run]) - offsets[run]).view(np.int64)]
+        win = w[:-1] << _BIT
+        win |= w[1:] >> _RBIT
+        win >>= to_width
+        win = win.ravel()[: nbits - a]
+        prefix = (win >> to_prefix).view(np.int64)
+        np.take(t.lut_len, prefix, out=d[a : a + win.size])
+        np.take(t.lut_sym, prefix, out=sym[a : a + win.size])
+        if codebook.max_length > _TABLE_BITS:
+            # a code longer than the table: its run is the number of run starts the window reaches
+            long = np.flatnonzero(win >= t.long_from)
+            lwin = win[long]
+            run = np.searchsorted(t.limits, lwin, side="right")
+            d[a + long] = t.run_lens[run]
+            sym[a + long] = t.order[((lwin >> t.shifts[run]) - t.offsets[run]).view(np.int64)]
     # jump[p]: bits spanned by the 2**k codewords from p, by pointer doubling
     jump = d
     for _ in range(_DOUBLINGS):

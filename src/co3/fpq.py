@@ -9,6 +9,14 @@ ties round toward the level with even (exponent, fraction)-field integer
 Level i of the ascending grid has field integer |i - c| with c = 2^(m+e) - 1
 odd, so a tie goes to whichever of its two neighbors has an odd index.
 
+The rule compares the rounded distances ``x - lo`` and ``hi - x`` to a cell's
+two levels, so with a non-integer bias its flip need not sit at the rounded
+midpoint. It is monotone in x, so it flips exactly once per cell: ``_edges``
+finds, per format and once, the first float that goes up by evaluating the
+rule on the floats within 4 ulps of ``0.5*lo + 0.5*hi``, and by bisection
+where the flip lies outside them. ``quantize`` is then one searchsorted over
+these edges, with the symbols of the rule itself.
+
 The levels at bias b are one cached bias-0 grid times Python's scalar
 ``2.0 ** b``; ``FpFormat``, the quantizer and the bias search all take them,
 and one check that they are finite and strictly ascending, from ``_levels_at``.
@@ -138,22 +146,76 @@ def max_level(fmt):
     return float(enumerate_levels(fmt)[-1])
 
 
+# _edges tries this many ulps either side of a cell's midpoint before it bisects
+_EDGE_ULPS = 4
+_MAGNITUDE = np.int64(2**63 - 1)  # the bits of a float64 but its sign
+
+
+def _rounds_up(x, lo, hi, odd):
+    """The quantizer's rule in the cell [lo, hi]: does ``x`` go to ``hi``?
+
+    Nearest of the two by rounded distance; a tie goes to ``hi`` exactly when
+    its level index is odd, as level i has field integer |i - (2^(m+e) - 1)|,
+    even exactly when i is odd.
+    """
+    d_lo = x - lo
+    d_hi = hi - x
+    return (d_hi < d_lo) | ((d_hi == d_lo) & odd)
+
+
+def _ordered(x):
+    """Float64 to int64 keys that ascend with the value (one ulp apart are one apart)."""
+    bits = x.view(np.int64)
+    return np.where(bits < 0, -(bits & _MAGNITUDE), bits)
+
+
+def _unordered(key):
+    """The float64 of each ``_ordered`` key."""
+    return np.where(key < 0, -((-key).view(np.float64)), key.view(np.float64))
+
+
+@lru_cache(maxsize=64)
+def _edges(fmt):
+    """Per cell, the smallest float that ``quantize``'s rule sends to the upper level; read-only.
+
+    The rule is monotone in x, so within a cell it flips exactly once. Keys
+    ``a < b`` bracket the flip (the rule is false at ``a`` and true at ``b``),
+    from the two levels inward: first by the floats within ``_EDGE_ULPS`` ulps
+    of ``0.5*lo + 0.5*hi``, near which the flip lies, then, in any cell whose
+    window holds no flip, by bisection. No edge is guessed.
+    """
+    levels = enumerate_levels(fmt)
+    lo, hi = levels[:-1], levels[1:]
+    odd = np.arange(1, levels.size) % 2 == 1
+    a, b = _ordered(lo), _ordered(hi)
+    mid = _ordered(0.5 * lo + 0.5 * hi)
+    near = np.clip(mid[:, None] + np.arange(-_EDGE_ULPS, _EDGE_ULPS + 1), a[:, None], b[:, None])
+    up = _rounds_up(_unordered(near), lo[:, None], hi[:, None], odd[:, None])
+    a = np.where(up, a[:, None], near).max(axis=1)
+    b = np.where(up, near, b[:, None]).min(axis=1)
+    while (b - a > 1).any():
+        half = a + (b - a) // 2
+        up = _rounds_up(_unordered(half), lo, hi, odd)
+        a, b = np.where(up, a, half), np.where(up, half, b)
+    edges = _unordered(b)
+    edges.setflags(write=False)
+    return edges
+
+
 def quantize(x, fmt):
-    """Map each entry to the nearest level; saturating, ties to even field integer (odd level index)."""
+    """Map each entry to the nearest level; saturating, ties to even field integer (odd level index).
+
+    The symbol is the number of ``_edges(fmt)`` at or below the entry: each
+    edge is the first float that the rounded-distance and tie rule sends to
+    the upper level of its cell, so the symbols are the rule's own. Entries
+    past the outer edges saturate to the outer levels.
+    """
     arr = np.asarray(x, dtype=np.float64)
     finite = np.isfinite(arr)
     if not finite.all():
         idx = tuple(int(v) for v in np.argwhere(~finite)[0])
         raise ValueError(f"non-finite input entry at index {idx}")
-    levels = enumerate_levels(fmt)
-    flat = np.clip(arr.ravel(), levels[0], levels[-1])
-    hi = np.clip(np.searchsorted(levels, flat), 1, levels.size - 1)
-    lo = hi - 1
-    d_lo = flat - levels[lo]
-    d_hi = levels[hi] - flat
-    # level i has field integer |i - (2^(m+e) - 1)|, even exactly when i is odd
-    take_hi = (d_hi < d_lo) | ((d_hi == d_lo) & (hi % 2 == 1))
-    sym = np.where(take_hi, hi, lo).astype(np.int32)
+    sym = np.searchsorted(_edges(fmt), arr.ravel(), side="right").astype(np.int32)
     return QuantizedTensor(sym.reshape(arr.shape), fmt)
 
 
@@ -180,7 +242,8 @@ _QUAD_NODES = 4096
 # the objective drops the squared error beyond mu +- 16 sigma, which misleads
 # the search for heavy tails: at beta 0.3 [1,4,3] gets bias -2.98, whose MSE
 # (2.2e-2) is 60x the exact optimum's and 150x the objective's. FP4 at beta
-# 0.54 to 1.40, as trained, loses at most 0.011 % MSE (ROADMAP item 2)
+# 0.54 to 1.40, as trained, loses at most 0.011 % MSE (the FOUND line on the
+# +-16 sigma span in CHANGES.md; ROADMAP item 3 replaces the quadrature)
 _QUAD_SPAN_SIGMAS = 16.0
 # a fitted scale below this is degenerate and gets bias 0
 _ALPHA_FLOOR = 1e-12

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from co3 import cli
+from co3 import cli, fpq
 from co3.datasets import synth_blobs
 from co3.fpq import FP4, bias_polynomial, dequantize, quantize
 from co3.trainer import TrainConfig, train
@@ -212,6 +212,21 @@ class TestBiasSweep:
         assert run_cli(["bias-sweep", "--beta-step", step, "--out", str(out)]) == 1
         assert capsys.readouterr().err.startswith("error: --beta-step must be positive and finite")
         assert not out.exists()
+
+    @pytest.mark.parametrize("step, rows", [("1e-12", "1300000001001"), ("0.00013", "10001"), ("5e-324", "inf")])
+    def test_rows_past_the_cap_fail_before_the_file_is_opened(self, tmp_path, capsys, step, rows):
+        out = tmp_path / "x.csv"
+        assert run_cli(["bias-sweep", "--beta-step", step, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: --beta-step {step} asks for {rows} rows, more than the cap of 10000\n"
+        assert not out.exists()
+
+    def test_rows_at_the_cap_are_allowed(self, tmp_path, monkeypatch):
+        # (0.99995 + 1e-9) / 0.0001 rounds up to 10000 rows; a stub optimizer keeps it fast
+        monkeypatch.setattr(fpq, "optimize_bias", lambda dist, fmt: 0.0)
+        out = tmp_path / "x.csv"
+        args = ["bias-sweep", "--beta-min", "1.0", "--beta-max", "1.99995", "--beta-step", "0.0001"]
+        assert run_cli(args + ["--out", str(out)]) == 0
+        assert len(list(csv.DictReader(open(out)))) == 10000
 
     @pytest.mark.parametrize("sigma", ["0", "-1", "nan", "inf"])
     def test_sigma_must_be_positive_and_finite(self, tmp_path, capsys, sigma):

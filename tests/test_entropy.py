@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import struct
 import tracemalloc
@@ -8,6 +9,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from co3 import entropy
+from co3.distmodel import GenNormParams, sample_gennorm
 from co3.entropy import (
     CorruptionError,
     EncodedBlock,
@@ -484,6 +487,91 @@ class TestDecodeOracle:
     @given(mutated_blocks(st.permutations([*range(1, 64), 63]).map(HuffmanCodebook.from_lengths)))
     def test_decode_agrees_with_bitwise_oracle_on_63_bit_codes(self, case):
         assert_matches_oracle(*case)
+
+
+# codebooks around the decode table's width k = 12: every code longer than it
+# ([1,7,6] at uniform probabilities: 13- and 14-bit codes), codes of exactly
+# k and k + 1 bits, and all of one length either side of k
+TABLE_EDGE_CODEBOOKS = {
+    "uniform-1-7-6": build_codebook(np.full(2**14 - 1, 1 / (2**14 - 1))),
+    "chain-to-12": HuffmanCodebook.from_lengths((*range(1, 12), 12, 12)),
+    "chain-to-13": HuffmanCodebook.from_lengths((*range(1, 13), 13, 13)),
+    "12-and-13": HuffmanCodebook.from_lengths((12,) * 4095 + (13, 13)),
+    "all-12": HuffmanCodebook.from_lengths((12,) * 4096),
+    "all-13": HuffmanCodebook.from_lengths((13,) * 8192),
+}
+
+
+class TestDecodeTables:
+    def test_uniform_1_7_6_codes_are_all_longer_than_the_table(self):
+        cb = TABLE_EDGE_CODEBOOKS["uniform-1-7-6"]
+        assert set(cb.code_lengths) == {13, 14}
+        assert entropy._decode_tables(cb).long_from == 0
+
+    @pytest.mark.parametrize("name", TABLE_EDGE_CODEBOOKS)
+    def test_long_from_is_the_first_window_of_a_code_longer_than_the_table(self, name):
+        cb = TABLE_EDGE_CODEBOOKS[name]
+        longer = [
+            code << (cb.max_length - length)
+            for length, code in zip(cb.code_lengths, cb.codewords)
+            if length > entropy._TABLE_BITS
+        ]
+        expected = min(longer) if longer else 1 << cb.max_length
+        assert entropy._decode_tables(cb).long_from == expected
+
+    @pytest.mark.parametrize("name", TABLE_EDGE_CODEBOOKS)
+    def test_decode_agrees_with_oracle_across_chunks(self, name):
+        # 3000 symbols, the longest codes first, cross several 8192-bit decode chunks
+        cb = TABLE_EDGE_CODEBOOKS[name]
+        rng = np.random.default_rng(len(cb.code_lengths))
+        sym = rng.integers(0, cb.level_count, 3000).astype(np.int32)
+        longest = np.argsort(cb.code_lengths, kind="stable")[-20:]
+        sym[: longest.size] = longest
+        block = encode(QuantizedTensor(sym, FP4), cb)
+        assert decode(block, cb).tolist() == sym.tolist()
+        assert_matches_oracle(cb, block)
+
+    @settings(ORACLE_SETTINGS, max_examples=300)
+    @given(mutated_blocks(st.sampled_from(list(TABLE_EDGE_CODEBOOKS.values()))))
+    def test_mutated_blocks_agree_with_oracle(self, case):
+        assert_matches_oracle(*case)
+
+    def test_two_decodes_with_one_codebook_build_its_tables_once(self):
+        cb = build_codebook([0.4, 0.3, 0.2, 0.1])
+        block = encode(QuantizedTensor(np.array([0, 3, 1, 2], dtype=np.int32), FP4), cb)
+        entropy._decode_tables.cache_clear()
+        decode(block, cb)
+        decode_block(block)  # rebuilds an equal codebook from the header's lengths
+        info = entropy._decode_tables.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+
+# (mant_bits, exp_bits, biases), each bias with a GenNorm of shape 0.6, 1.0, 1.4
+GOLDEN_CASES = (
+    (2, 1, (-0.71, 0.37, 1.13)),
+    (3, 2, (-2.29, -1.41, 0.53)),
+    (4, 3, (-5.83, -3.37, -1.61)),
+)
+# sha256 of the nine blocks below, computed before quantize and decode were table-driven
+GOLDEN_DIGEST = "94693663e14bb192d7ef67a88650ac12bd3ef9348345e49cac87623e27cf9f5f"
+
+
+class TestGoldenStreams:
+    def test_quantize_encode_bytes_digest(self):
+        # float32-rounded inputs and a codebook from integer counts: no BLAS and
+        # no transcendental function reaches the bits, so they do not vary by machine
+        rng = np.random.default_rng(17)
+        h = hashlib.sha256()
+        for mant, exp, biases in GOLDEN_CASES:
+            for i, (beta, bias) in enumerate(zip((0.6, 1.0, 1.4), biases)):
+                fmt = FpFormat(mant, exp, float(np.float32(bias)))
+                x = sample_gennorm(GenNormParams(beta, 0.0, 0.5), 3000, rng).astype(np.float32)
+                q = quantize(x.astype(np.float64), fmt)
+                counts = np.bincount(q.symbols, minlength=fmt.level_count) + 1
+                block = encode(q, build_codebook(counts / counts.sum()), user_id=i, iteration=mant, layer_id=exp)
+                assert np.array_equal(decode_block(EncodedBlock.from_bytes(block.to_bytes())).symbols, q.symbols)
+                h.update(block.to_bytes())
+        assert h.hexdigest() == GOLDEN_DIGEST
 
 
 class TestLedger:

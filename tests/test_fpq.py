@@ -100,6 +100,53 @@ def field_integers(mant, exp):
     return np.array(fields[:0:-1] + fields)
 
 
+def reference_quantize(x, fmt):
+    """quantize before it was table-driven: nearest level by rounded distance, ties to the odd index."""
+    arr = np.asarray(x, dtype=np.float64)
+    levels = enumerate_levels(fmt)
+    flat = np.clip(arr.ravel(), levels[0], levels[-1])
+    hi = np.clip(np.searchsorted(levels, flat), 1, levels.size - 1)
+    lo = hi - 1
+    d_lo = flat - levels[lo]
+    d_hi = levels[hi] - flat
+    take_hi = (d_hi < d_lo) | ((d_hi == d_lo) & (hi % 2 == 1))
+    return np.where(take_hi, hi, lo).astype(np.int32).reshape(arr.shape)
+
+
+def oracle_biases(mant, exp, rng):
+    """Non-integer float32 biases: three moderate ones, two near the subnormal limit, two near overflow."""
+    top = math.log2(max_level(FpFormat(mant, exp)))
+    picked = []
+    for lo, hi, count in ((-8.0, 8.0, 3), (-1076.0 + mant, -1066.0 + mant, 2), (1021.0 - top, 1024.0 - top, 2)):
+        found = []
+        while len(found) < count:
+            b = float(np.float32(rng.uniform(lo, hi)))
+            try:
+                FpFormat(mant, exp, b)
+            except ValueError:
+                continue
+            if b != round(b):
+                found.append(b)
+        picked += found
+    return picked
+
+
+def oracle_inputs(levels, rng):
+    """Levels, midpoints and 1 to 4 ulps either side, random values in range, saturating values."""
+    mids = 0.5 * levels[:-1] + 0.5 * levels[1:]
+    xs = [levels, mids]
+    up, down = mids, mids
+    for _ in range(4):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        xs += [up, down]
+    top, tiny = levels[-1], levels[levels.size // 2 + 1]
+    xs.append(top * rng.uniform(-1.0, 1.0, 1000))
+    xs.append(tiny * rng.standard_normal(1000))
+    extremes = [0.0, 5e-324, 1e308, np.finfo(np.float64).max, np.nextafter(top, np.inf)]
+    xs.append(np.array(extremes + [-v for v in extremes]))
+    return np.concatenate(xs)
+
+
 def laplace_fp4_argmin():
     grid = np.arange(0.5, 1.5, 1e-5)
     return float(grid[np.argmin(laplace_fp4_mse(grid))])
@@ -228,6 +275,21 @@ class TestQuantize:
                 even = near & (fields % 2 == 0)
                 expected = np.where(near.sum(axis=1) == 1, near.argmax(axis=1), even.argmax(axis=1))
                 assert np.array_equal(quantize(x, fmt).symbols, expected), fmt
+
+    @pytest.mark.parametrize("mant, exp", [(2, 1), (3, 2), (4, 3), (0, 3), (1, 1), (2, 4)])
+    def test_matches_rounded_distance_reference(self, mant, exp):
+        rng = np.random.default_rng(100 * mant + exp)
+        for bias in oracle_biases(mant, exp, rng):
+            fmt = FpFormat(mant, exp, bias)
+            x = oracle_inputs(enumerate_levels(fmt), rng)
+            assert np.array_equal(quantize(x, fmt).symbols, reference_quantize(x, fmt)), fmt
+
+    @pytest.mark.parametrize("fmt", [FP4.with_bias(float(np.float32(0.37))), FpFormat(4, 3, float(np.float32(-1069.3)))])
+    def test_edges_by_bisection_alone_are_the_same(self, fmt, monkeypatch):
+        # with only the midpoints themselves tried, the edges are found by bisection
+        edges = fpq._edges(fmt)
+        monkeypatch.setattr(fpq, "_EDGE_ULPS", 0)
+        assert np.array_equal(fpq._edges.__wrapped__(fmt), edges)
 
     def test_non_finite_rejected_with_index(self):
         bad = np.array([[0.0, 1.0], [np.nan, 2.0]])

@@ -259,25 +259,10 @@ def cmd_report(args):
     summary = rundir / "summary.txt"
     if not summary.exists():
         raise FileNotFoundError(f"no summary.txt under {rundir}")
-    keys = {}
-    for line in summary.read_text().splitlines():
-        if ": " in line:
-            k, v = line.split(": ", 1)
-            keys[k] = v
     print(f"run: {rundir}")
-    for k in (
-        "final_test_accuracy",
-        "total_uplink_bits",
-        "payload_bits",
-        "header_bits",
-        "bits_per_param_per_round",
-        "param_count",
-        "rounds",
-        "fit_fallbacks",
-        "wall_time_s",
-    ):
-        if k in keys:
-            print(f"{k}: {keys[k]}")
+    for line in summary.read_text().splitlines():
+        if not line.startswith("config."):
+            print(line)
     return 0
 
 

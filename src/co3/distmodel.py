@@ -164,14 +164,14 @@ def _gamma_pq(s, x):
 
 
 def lower_gamma_reg(s, x):
-    """Regularized lower incomplete gamma P(s, x) for scalar s > 0, array x >= 0."""
+    """Regularized lower incomplete gamma P(s, x) for scalar s > 0, array x >= 0 (inf included, NaN not)."""
     if not s > 0:
         raise ValueError(f"s must be positive, got {s}")
     x = np.asarray(x, dtype=np.float64)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
-    if np.any(x < 0):
-        raise ValueError("x must be non-negative")
+    if not np.all(x >= 0):
+        raise ValueError("x must be non-negative and not NaN")
     out = _gamma_pq(s, x)[0]
     return float(out[0]) if scalar else out
 
@@ -379,16 +379,13 @@ def fit_gennorm(samples):
     log M = beta ln(alpha) - ln(beta) as well, so bounding costs no pass.
 
     A sample with no spread raises ``DegenerateSampleError``: one whose
-    standard deviation or mean absolute deviation from the median is zero
-    (``fit_all`` reports both spreads and relies on these checks), and one
-    so narrow that M(beta) underflows to zero at a scored shape.
+    standard deviation is zero, and one so narrow that M(beta) underflows to
+    zero at a scored shape.
     """
     x = _check_sample(samples)
-    mu, sd = fit_normal(x)
+    mu, sd = mean_std(x)
     if sd == 0.0:
         raise DegenerateSampleError("zero standard deviation")
-    if fit_laplace(x)[1] == 0.0:
-        raise DegenerateSampleError("zero mean absolute deviation")
     dev = np.abs(x - mu)
 
     def profile(beta):
@@ -454,8 +451,11 @@ def w2_distance(samples, model):
 def fit_all(samples):
     """Fit all three families and score each with W2; order: normal, laplace, gennorm.
 
-    Raises what ``fit_gennorm`` raises, zero spread included, so a sample
-    that one of them rejects the other rejects too.
+    Raises what ``fit_gennorm`` raises. A sample it accepts has a non-zero
+    standard deviation, so the Laplace scale is non-zero too: the mean
+    absolute deviation from the median underflows to zero only when every
+    deviation is below n * 2**-1074, and then every squared deviation from
+    the mean underflows as well.
     """
     gn = fit_gennorm(samples)
     mean, sd = fit_normal(samples)

@@ -19,6 +19,11 @@ round runs in three steps:
 RNG discipline: weight init and sharding draw from streams keyed on the run
 seed; user u's minibatch stream is keyed on seed XOR u. All streams are
 disjoint SeedSequence children.
+
+A run keeps its totals and per-epoch rows, not its per-step data. Every
+step goes through module functions (``entropy.encode`` per block,
+``feedback.update`` per (user, layer) memory step), so a caller that needs
+the blocks or the (g, g_hat) pairs wraps those functions for the run.
 """
 
 import csv
@@ -163,8 +168,6 @@ class TrainConfig:
     bias_mode: str = "optimize"  # "optimize" | "polynomial"
     rebuild: str = "epoch"  # fit/bias/codebook cadence: "epoch" | "iteration"
     hidden: tuple = (128, 64)
-    track_history: bool = False
-    keep_streams: bool = False
     keep_fit_samples: bool = False
 
     def __post_init__(self):
@@ -190,7 +193,7 @@ class TrainConfig:
 
 @dataclass
 class RunMetrics:
-    """Everything a run produces besides the model itself."""
+    """Everything a run produces besides the model itself: totals, per-epoch rows and final memories."""
 
     config: TrainConfig
     param_count: int
@@ -199,13 +202,14 @@ class RunMetrics:
     round_losses: list = field(default_factory=list)
     ledger: entropy.PayloadLedger = field(default_factory=entropy.PayloadLedger)
     final_memory: dict = field(default_factory=dict)
-    history: dict = field(default_factory=dict)
-    streams: list = field(default_factory=list)
     fit_samples: dict = field(default_factory=dict)  # (epoch, layer) -> float64 array
-    rounds: int = 0
     saturated: int = 0
     fit_fallbacks: int = 0  # (refresh, layer) pairs whose GenNorm fit failed and fell back
     wall_time: float = 0.0
+
+    @property
+    def rounds(self):
+        return len(self.round_losses)
 
     @property
     def final_accuracy(self):
@@ -345,14 +349,10 @@ def run_round(model, losses, user_grads, inputs, states, codecs, t, metrics, nor
                 metrics.saturated += fpq.count_saturated(v, fmt)
                 block = entropy.encode(q, cb, user_id=u, iteration=t, layer_id=layer)
                 metrics.ledger.record_block(block)
-                if config.keep_streams:
-                    metrics.streams.append(block.to_bytes())
                 g_hat = fpq.dequantize(q)
                 symbols = entropy.decode(block, cb)  # the PS-side inverse mapping
                 decoded = fpq.dequantize(fpq.QuantizedTensor(symbols, fmt))
             feedback.update(state, g, g_hat)
-            if config.track_history:
-                metrics.history.setdefault((u, layer), []).append((g, g_hat))
             norm_sums[layer] += feedback.norms(state, g)
             totals[layer] += decoded
     loss_mean = float(np.mean(losses))
@@ -418,7 +418,6 @@ def train(config, dataset):
             epoch_losses.append(loss)
             metrics.round_losses.append(loss)
             t += 1
-        metrics.rounds = t
         for group, members in groups:
             g_sum, m_sum = norm_sums[members].sum(axis=0)
             count = members.size * rounds * config.users

@@ -40,6 +40,7 @@ from co3.entropy import EncodedBlock, decode_block
 from co3.feedback import replay_memory
 from co3.trainer import Model, epoch_batches, fit_table
 from co3.datasets import shard_indices
+from recording import train_recorded
 
 # desk-scale task: image-like sub-unit feature scale keeps the run in its
 # steep learning phase at 30 epochs, where the quantization lag of gamma=0
@@ -86,14 +87,13 @@ def sweep_runs(desk_dataset):
 
 @pytest.fixture(scope="session")
 def ef_desk_run():
-    """Smaller complete run with full (g, g_hat) history and retained streams."""
+    """Smaller complete run, recorded: its streams and full (g, g_hat) history."""
     ds = synth_blobs(2000, DESK["k"], DESK["d_in"], 11, n_test=400,
                      separation=DESK["separation"], noise=DESK["noise"],
                      feature_scale=DESK["feature_scale"])
-    cfg = TrainConfig(epochs=6, gamma=0.9, users=2, seed=1,
-                      track_history=True, keep_streams=True)
-    metrics, _ = train(cfg, ds)
-    return ds, cfg, metrics
+    cfg = TrainConfig(epochs=6, gamma=0.9, users=2, seed=1)
+    metrics, _, streams, history = train_recorded(cfg, ds)
+    return ds, cfg, metrics, streams, history
 
 
 def test_c1_losslessness():
@@ -118,7 +118,7 @@ def test_c1_losslessness():
             out = decode_block(block)
             assert np.array_equal(out.symbols, q.symbols.ravel())
             assert out.fmt == fmt
-        symbols = decode(block, codebook, q.symbols.size)
+        symbols = decode(block, codebook)
         assert np.array_equal(symbols, q.symbols.ravel())
         assert np.array_equal(
             dequantize(QuantizedTensor(symbols, fmt)), dequantize(q).ravel()
@@ -200,25 +200,24 @@ def test_c3_bias_grid_oracle_and_polynomial_parity():
 
 
 def test_c4_error_feedback_exactness(ef_desk_run):
-    _, cfg, metrics = ef_desk_run
+    _, cfg, metrics, _, history = ef_desk_run
     replayed_ok = all(
         np.array_equal(replay_memory(cfg.gamma, hist), metrics.final_memory[key])
-        for key, hist in metrics.history.items()
+        for key, hist in history.items()
     )
     # identity quantizer: memory identically zero at every step
     ds2 = synth_blobs(1000, 4, 12, 13, n_test=200, separation=2.5)
-    cfg2 = TrainConfig(epochs=2, gamma=0.9, users=1, seed=2,
-                       quantizer="identity", track_history=True)
-    m2, _ = train(cfg2, ds2)
+    cfg2 = TrainConfig(epochs=2, gamma=0.9, users=1, seed=2, quantizer="identity")
+    _, _, _, history2 = train_recorded(cfg2, ds2)
     identity_ok = True
-    for (u, layer), hist in m2.history.items():
+    for (u, layer), hist in history2.items():
         m = np.zeros_like(hist[0][0])
         for g, g_hat in hist:
             m = (cfg2.gamma * m + g) - g_hat
             identity_ok &= not m.any()
     report(4, "EF memory replay is bitwise exact; identity quantizer keeps memory at zero",
            replayed_ok and identity_ok,
-           f"{len(metrics.history)} (user, layer) histories replayed")
+           f"{len(history)} (user, layer) histories replayed")
 
 
 def test_c5_uncompressed_equivalence(desk_dataset):
@@ -245,9 +244,9 @@ def test_c5_uncompressed_equivalence(desk_dataset):
 
 
 def test_c6_payload_identity(ef_desk_run, sweep_runs):
-    _, _, metrics = ef_desk_run
-    blocks = [EncodedBlock.from_bytes(s) for s in metrics.streams]
-    total_bytes = sum(len(s) for s in metrics.streams)
+    _, _, metrics, streams, _ = ef_desk_run
+    blocks = [EncodedBlock.from_bytes(s) for s in streams]
+    total_bytes = sum(len(s) for s in streams)
     pad_bits = sum(b.pad_bits for b in blocks)
     with_headers_ok = metrics.ledger.total(include_headers=True) == 8 * total_bytes - pad_bits
     recount = 0

@@ -372,6 +372,7 @@ class TestReport:
         assert "final_test_accuracy" in text
         assert "total_uplink_bits" in text
         assert "bits_per_param_per_round" in text
+        assert "saturated_entries" in text
 
     def test_prints_fit_fallbacks(self, tmp_path, capsys):
         # hidden (20,) leaves the 3-class output layer 63 values, under the 100 a fit needs

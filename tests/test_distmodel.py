@@ -64,6 +64,8 @@ class TestIncompleteGamma:
             lower_gamma_reg(-1.0, 1.0)
         with pytest.raises(ValueError):
             lower_gamma_reg(1.0, -0.5)
+        with pytest.raises(ValueError):
+            lower_gamma_reg(1.0, math.nan)
 
     def test_infinity(self):
         # a cell edge past float64's range is inf, and its CDF is exact
@@ -204,6 +206,7 @@ class TestFits:
         [
             (np.r_[np.zeros(199), [1e-300]], "zero standard deviation"),  # squares underflow
             (np.random.default_rng(0).laplace(0, 1e-70, 1000), "underflows to zero"),  # |x - mu|^5 does
+            (np.r_[np.zeros(199_999), [5e-324]], "zero standard deviation"),  # mean and deviations underflow too
         ],
     )
     @pytest.mark.parametrize("fit", [fit_gennorm, fit_all])

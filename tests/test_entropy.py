@@ -73,6 +73,8 @@ class TestCodebook:
             build_codebook([0.7, -0.1, 0.4])
         with pytest.raises(ValueError):
             build_codebook([0.5, 0.2])
+        with pytest.raises(ValueError, match="non-finite"):
+            build_codebook([np.nan, 0.5, 0.5])
         with pytest.raises(ValueError):
             expected_length(build_codebook([0.5, 0.5]), [0.3, 0.3, 0.4])
 
@@ -140,7 +142,7 @@ class TestEncodeDecode:
         q = QuantizedTensor(np.zeros(0, dtype=np.int32), FP4)
         block = encode(q, cb)
         assert block.payload_bits == 0 and block.payload == b"" and block.pad_bits == 0
-        assert decode(block, cb, 0).size == 0
+        assert decode(block, cb).size == 0
 
     def test_repeated_symbol_payload_bits(self):
         cb = build_codebook([0.5, 0.25, 0.125, 0.125])
@@ -154,7 +156,7 @@ class TestEncodeDecode:
         # codes A=0, B=10 -> bits 0100 -> byte 0b01000000, pad 4
         assert block.payload == bytes([0b01000000])
         assert block.pad_bits == 4
-        assert decode(block, cb, 3).tolist() == [0, 1, 0]
+        assert decode(block, cb).tolist() == [0, 1, 0]
 
     def test_out_of_range_symbol_names_index(self):
         cb = build_codebook([0.5, 0.5])
@@ -169,7 +171,7 @@ class TestEncodeDecode:
             cb, _ = random_codebook(rng, n)
             sym = rng.integers(0, n, size=int(rng.integers(0, 400))).astype(np.int32)
             block = encode(QuantizedTensor(sym, FP4), cb)
-            assert np.array_equal(decode(block, cb, sym.size), sym)
+            assert np.array_equal(decode(block, cb), sym)
 
     def test_long_code_slow_path_round_trip(self):
         # geometric probabilities force a deep, skewed tree (max length > 16)
@@ -181,14 +183,14 @@ class TestEncodeDecode:
         rng = np.random.default_rng(9)
         sym = rng.integers(0, n, size=500).astype(np.int32)
         block = encode(QuantizedTensor(sym, FP4), cb)
-        assert np.array_equal(decode(block, cb, sym.size), sym)
+        assert np.array_equal(decode(block, cb), sym)
 
     def test_truncation_detected(self):
         cb = build_codebook([0.5, 0.25, 0.125, 0.125])
         sym = np.array([3, 3, 3, 3], dtype=np.int32)
         block = encode(QuantizedTensor(sym, FP4), cb)
         with pytest.raises(TruncationError):
-            decode(block, cb, 10)
+            decode(dataclasses.replace(block, symbol_count=10), cb)
 
     def test_exhaustion_at_the_end_of_the_payload_detected(self):
         # four 2-bit codewords fill the byte, so a fifth symbol finds no bits left
@@ -196,7 +198,7 @@ class TestEncodeDecode:
         block = encode(QuantizedTensor(np.arange(4, dtype=np.int32), FP4), cb)
         assert block.pad_bits == 0
         with pytest.raises(TruncationError, match="5 symbols run past the 8-bit payload; 4 start in it"):
-            decode(block, cb, 5)
+            decode(dataclasses.replace(block, symbol_count=5), cb)
 
     def test_table_decode_memory_per_payload_bit(self):
         # 63 levels, a 14-bit longest code: the table path at its widest use
@@ -305,14 +307,14 @@ class TestEncodeDecode:
             pad_bits=good.pad_bits,
         )
         with pytest.raises(CorruptionError, match="pad"):
-            decode(corrupted, cb, 3)
+            decode(corrupted, cb)
 
     def test_wrong_symbol_count_vs_padding(self):
         cb = build_codebook([0.5, 0.25, 0.125, 0.125])
         sym = np.array([0, 1, 0], dtype=np.int32)
         block = encode(QuantizedTensor(sym, FP4), cb)
         with pytest.raises(CorruptionError):
-            decode(block, cb, 2)  # leaves undeclared trailing bits
+            decode(dataclasses.replace(block, symbol_count=2), cb)  # leaves undeclared trailing bits
 
 
 class TestWireFormat:

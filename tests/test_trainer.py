@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from co3 import distmodel, feedback, trainer
+from co3 import distmodel, entropy, feedback, trainer
 from co3.datasets import shard_indices, synth_blobs
 from co3.distmodel import GenNormParams, fit_gennorm
 from co3.entropy import EncodedBlock
@@ -17,6 +17,7 @@ from co3.trainer import (
     epoch_batches,
     train,
 )
+from recording import train_recorded
 
 
 @pytest.fixture(scope="module")
@@ -141,14 +142,14 @@ class TestSchedules:
         ids=["1_layer", "2_layers", "3_layers", "4_layers"],
     )
     def test_norm_rows_follow_the_thirds_of_the_stack(self, small, n_layers, thirds):
-        cfg = TrainConfig(epochs=2, users=2, seed=3, batch_size=32, hidden=(5,) * (n_layers - 1), track_history=True)
-        metrics, model = train(cfg, small)
+        cfg = TrainConfig(epochs=2, users=2, seed=3, batch_size=32, hidden=(5,) * (n_layers - 1))
+        metrics, model, _, history = train_recorded(cfg, small)
         names = ["lower", "middle", "upper"][: len(thirds)]  # a third with no layer has no row
         assert [row[:2] for row in metrics.norm_rows] == [(e, g) for e in (1, 2) for g in names]
         # replay every memory; a row averages its layers' L1 norms over the epoch's rounds and users
         rounds = metrics.rounds // cfg.epochs
         last_epoch = {}
-        for (u, layer), steps in metrics.history.items():
+        for (u, layer), steps in history.items():
             state = feedback.init_state(model.layer_param_count(layer), cfg.gamma)
             for r, (g, g_hat) in enumerate(steps):
                 feedback.update(state, g, g_hat)
@@ -263,15 +264,15 @@ class TestTrain:
         assert drops >= 0.8 * (len(losses) - 1)
 
     def test_payload_identity_on_short_run(self, blobs):
-        cfg = TrainConfig(epochs=2, seed=1, users=2, keep_streams=True)
-        metrics, _ = train(cfg, blobs)
+        cfg = TrainConfig(epochs=2, seed=1, users=2)
+        metrics, _, streams, _ = train_recorded(cfg, blobs)
         from co3.entropy import EncodedBlock
 
-        total_bytes = sum(len(s) for s in metrics.streams)
-        pad_bits = sum(EncodedBlock.from_bytes(s).pad_bits for s in metrics.streams)
+        total_bytes = sum(len(s) for s in streams)
+        pad_bits = sum(EncodedBlock.from_bytes(s).pad_bits for s in streams)
         assert metrics.ledger.total(include_headers=True) == 8 * total_bytes - pad_bits
         recount = 0
-        for s in metrics.streams:
+        for s in streams:
             block = EncodedBlock.from_bytes(s)
             lengths = np.asarray(block.code_lengths)
             from co3.entropy import decode_block
@@ -281,16 +282,16 @@ class TestTrain:
 
     def test_wire_decode_matches_user_side_dequant(self, blobs):
         # header-only decode must reproduce the user-side dequantized gradient
-        cfg = TrainConfig(epochs=1, seed=6, keep_streams=True, track_history=True)
-        metrics, _ = train(cfg, blobs)
+        cfg = TrainConfig(epochs=1, seed=6)
+        _, _, streams, history = train_recorded(cfg, blobs)
         from co3.entropy import EncodedBlock, decode_block
         from co3.fpq import dequantize
 
         by_key = {}
-        for s in metrics.streams:
+        for s in streams:
             block = EncodedBlock.from_bytes(s)
             by_key[(block.user_id, block.iteration, block.layer_id)] = block
-        for (u, layer), hist in metrics.history.items():
+        for (u, layer), hist in history.items():
             for t, (_, g_hat) in enumerate(hist):
                 block = by_key[(u, t, layer)]
                 assert np.array_equal(dequantize(decode_block(block)), g_hat)
@@ -299,6 +300,12 @@ class TestTrain:
         cfg = TrainConfig(epochs=1, eta=1e9, quantizer="identity")
         with pytest.raises((DivergenceError, ValueError)):
             train(cfg, blobs)
+
+    def test_recorded_run_restores_the_wrapped_functions_when_training_raises(self, blobs):
+        encode, update = entropy.encode, feedback.update
+        with pytest.raises((DivergenceError, ValueError)):
+            train_recorded(TrainConfig(epochs=1, eta=1e9, quantizer="identity"), blobs)
+        assert entropy.encode is encode and feedback.update is update
 
     def test_iteration_rebuild_cadence_runs(self, blobs):
         small = synth_blobs(160, 3, 6, seed=1, n_test=30)
@@ -312,15 +319,13 @@ class TestTrain:
     @pytest.mark.parametrize("rebuild", ["epoch", "iteration"])
     def test_refresh_fits_the_rounds_own_quantizer_input(self, small, rebuild):
         # the fit sample is g + gamma * m of the epoch's first round k, before its update
-        cfg = TrainConfig(
-            epochs=2, seed=5, batch_size=32, rebuild=rebuild, keep_fit_samples=True, track_history=True
-        )
-        metrics, model = train(cfg, small)
+        cfg = TrainConfig(epochs=2, seed=5, batch_size=32, rebuild=rebuild, keep_fit_samples=True)
+        metrics, model, _, history = train_recorded(cfg, small)
         per_epoch = metrics.rounds // cfg.epochs
         assert len(metrics.fit_samples) == cfg.epochs * model.n_layers
         for (epoch, layer), samples in metrics.fit_samples.items():
             k = (epoch - 1) * per_epoch
-            hist = metrics.history[(0, layer)]
+            hist = history[(0, layer)]
             memory = replay_memory(cfg.gamma, hist[:k]) if k else np.zeros_like(samples)
             assert samples.tobytes() == (cfg.gamma * memory + hist[k][0]).tobytes()
 
@@ -335,8 +340,8 @@ class TestTrain:
             return original(gn, fmt)
 
         monkeypatch.setattr(distmodel, "cell_probabilities", recording)
-        cfg = TrainConfig(epochs=2, users=2, seed=3, batch_size=32, rebuild="iteration", track_history=True)
-        metrics, model = train(cfg, small)
+        cfg = TrainConfig(epochs=2, users=2, seed=3, batch_size=32, rebuild="iteration")
+        metrics, model, _, history = train_recorded(cfg, small)
         per_epoch = metrics.rounds // cfg.epochs
         assert per_epoch > 1
         assert len(models) == metrics.rounds * model.n_layers
@@ -344,7 +349,7 @@ class TestTrain:
             for layer in range(model.n_layers):
                 pooled = []
                 for u in range(cfg.users):
-                    hist = metrics.history[(u, layer)]
+                    hist = history[(u, layer)]
                     memory = replay_memory(cfg.gamma, hist[:k]) if k else 0.0
                     pooled.append(cfg.gamma * memory + hist[k][0])
                 assert models[k * model.n_layers + layer] == fit_gennorm(np.concatenate(pooled))
@@ -406,15 +411,14 @@ class TestTrain:
         # hidden=(20,) gives an output layer of 20 * 3 + 3 = 63 values, under
         # the 100 a fit needs: it keeps no sample and gets no fit rows, a
         # narrow Normal at the first refresh and that same model at the next
-        cfg = TrainConfig(epochs=2, seed=2, batch_size=32, hidden=(20,), keep_fit_samples=True,
-                          keep_streams=True, track_history=True)
-        metrics, _ = train(cfg, small)
+        cfg = TrainConfig(epochs=2, seed=2, batch_size=32, hidden=(20,), keep_fit_samples=True)
+        metrics, _, streams, history = train_recorded(cfg, small)
         assert {row[1] for row in trainer.fit_table(metrics.fit_samples)} == {0}
         assert set(metrics.fit_samples) == {(1, 0), (2, 0)}
-        g = metrics.history[(0, 1)][0][0]  # the first quantizer input, memory still zero
+        g = history[(0, 1)][0][0]  # the first quantizer input, memory still zero
         gn = GenNormParams(2.0, float(np.mean(g)), float(np.std(g)) * math.sqrt(2.0))
         expected = float(np.float32(optimize_bias(gn, FP4)))
-        blocks = [EncodedBlock.from_bytes(raw) for raw in metrics.streams]
+        blocks = [EncodedBlock.from_bytes(raw) for raw in streams]
         assert {b.fmt.bias for b in blocks if b.layer_id == 1} == {expected}
         assert len({b.fmt.bias for b in blocks if b.layer_id == 0}) == 2
 
@@ -489,22 +493,21 @@ class TestTrain:
             return codecs
 
         monkeypatch.setattr(trainer, "_refresh", recording)
-        cfg = TrainConfig(epochs=2, users=2, seed=7, batch_size=32, bias_mode="polynomial", rebuild=rebuild,
-                          keep_streams=True)
-        m1, model1 = train(cfg, small)
+        cfg = TrainConfig(epochs=2, users=2, seed=7, batch_size=32, bias_mode="polynomial", rebuild=rebuild)
+        m1, model1, streams1, _ = train_recorded(cfg, small)
         per_epoch = m1.rounds // cfg.epochs
         assert len(refreshes) == (cfg.epochs if rebuild == "epoch" else m1.rounds)
         for layers in refreshes:
             for fmt, gn in layers:
                 assert fmt.with_bias(0.0) == FP4
                 assert fmt.bias == float(np.float32(bias_polynomial(gn.beta, gn.sigma)))
-        for raw in m1.streams:
+        for raw in streams1:
             block = EncodedBlock.from_bytes(raw)
             k = block.iteration // per_epoch if rebuild == "epoch" else block.iteration
             assert block.fmt == refreshes[k][block.layer_id][0]
-        m2, model2 = train(cfg, small)
+        m2, model2, streams2, _ = train_recorded(cfg, small)
         assert m1.round_losses == m2.round_losses
-        assert m1.streams == m2.streams
+        assert streams1 == streams2
         assert m1.ledger.records == m2.ledger.records
         assert all(np.array_equal(a, b) for a, b in zip(model1.weights + model1.biases, model2.weights + model2.biases))
 

@@ -5,7 +5,7 @@ training: conversion to a low-bit floating-point grid with an optimized
 exponent bias, lossless Huffman compression driven by a fitted generalized
 normal gradient model, and decayed error feedback. A synchronous
 parameter-server simulator wires the steps together with bit-exact payload
-accounting.
+accounting. The names imported below are the package's public API.
 """
 
 from .datasets import Dataset, load_cifar10_binary, load_csv, load_idx, synth_blobs
@@ -53,56 +53,3 @@ from .fpq import (
 from .trainer import DivergenceError, Model, RunMetrics, TrainConfig, train
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CorruptionError",
-    "Dataset",
-    "DegenerateSampleError",
-    "DivergenceError",
-    "EncodedBlock",
-    "FP4",
-    "FeedbackState",
-    "FitReport",
-    "FpFormat",
-    "GenNormParams",
-    "HuffmanCodebook",
-    "InsufficientDataError",
-    "Model",
-    "PayloadLedger",
-    "QuantizedTensor",
-    "RunMetrics",
-    "TrainConfig",
-    "TruncationError",
-    "bias_objective",
-    "bias_polynomial",
-    "build_codebook",
-    "cell_probabilities",
-    "corrected_input",
-    "count_saturated",
-    "decode",
-    "decode_block",
-    "dequantize",
-    "encode",
-    "enumerate_levels",
-    "expected_length",
-    "fit_all",
-    "fit_gennorm",
-    "fit_laplace",
-    "fit_normal",
-    "gennorm_cdf",
-    "gennorm_pdf",
-    "gennorm_ppf",
-    "init_state",
-    "load_cifar10_binary",
-    "load_csv",
-    "load_idx",
-    "max_level",
-    "norms",
-    "optimize_bias",
-    "quantize",
-    "replay_memory",
-    "synth_blobs",
-    "train",
-    "update",
-    "w2_distance",
-]

@@ -11,6 +11,7 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -20,10 +21,19 @@ import numpy as np
 
 from . import datasets, distmodel, entropy, fpq, trainer
 
+def _parse_int(value):
+    """A JSON integer, or a flag's decimal integer string; anything else (a bool, 3.0, "3.5") is a TypeError."""
+    if isinstance(value, str) and re.fullmatch(r"[+-]?[0-9]+", value):
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{value!r} is not an integer")
+    return value
+
+
 def _parse_fp(value):
     if isinstance(value, fpq.FpFormat):
         return value
-    parts = [int(v) for v in (value.split(",") if isinstance(value, str) else value)]
+    parts = [_parse_int(v) for v in (value.split(",") if isinstance(value, str) else value)]
     if len(parts) != 3:
         raise ValueError(f"fp format needs sign,mant,exp — got {value!r}")
     sign, mant, exp = parts
@@ -41,7 +51,9 @@ def _parse_gammas(value):
 
 
 def _parse_hidden(value):
-    return tuple(int(h) for h in value)
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"{value!r} is not a list of integers")
+    return tuple(_parse_int(h) for h in value)
 
 
 class _Setting(NamedTuple):
@@ -59,21 +71,21 @@ class _Setting(NamedTuple):
 _SETTINGS = {
     "eta": _Setting("--eta", float, "eta"),
     "gamma": _Setting("--gamma", _parse_gammas, "gamma", help="memory decay, comma list sweeps"),
-    "epochs": _Setting("--epochs", int, "epochs"),
-    "users": _Setting("--users", int, "users"),
-    "batch_size": _Setting("--batch", int, "batch_size"),
+    "epochs": _Setting("--epochs", _parse_int, "epochs"),
+    "users": _Setting("--users", _parse_int, "users"),
+    "batch_size": _Setting("--batch", _parse_int, "batch_size"),
     "fp": _Setting("--fp", _parse_fp, "fmt", help="sign,mant,exp e.g. 1,2,1"),
-    "seed": _Setting("--seed", int, "seed"),
+    "seed": _Setting("--seed", _parse_int, "seed"),
     "quantizer": _Setting("--quantizer", str, "quantizer", help="fp or identity"),
     "bias_mode": _Setting("--bias-mode", str, "bias_mode", help="optimize or polynomial"),
     "hidden": _Setting(None, _parse_hidden, "hidden"),
     "dataset": _Setting("--dataset", str, default="blobs", help="blobs, cifar10 (first 5,000 train, 1,000 test images), idx or csv"),
     "data_path": _Setting("--data-path", str),
     "out": _Setting("--out", str, default="runs"),
-    "blobs_n": _Setting(None, int, default=5000),
-    "blobs_classes": _Setting(None, int, default=10),
-    "blobs_features": _Setting(None, int, default=32),
-    "blobs_seed": _Setting(None, int, default=7),
+    "blobs_n": _Setting(None, _parse_int, default=5000),
+    "blobs_classes": _Setting(None, _parse_int, default=10),
+    "blobs_features": _Setting(None, _parse_int, default=32),
+    "blobs_seed": _Setting(None, _parse_int, default=7),
     "blobs_separation": _Setting(None, float, default=2.4),
     "blobs_feature_scale": _Setting(None, float, default=0.35),
 }
@@ -191,7 +203,7 @@ def cmd_bias_sweep(args):
     if rows > _SWEEP_ROW_CAP:
         count = math.ceil(rows) if math.isfinite(rows) else rows
         raise ValueError(f"--beta-step {args.beta_step} asks for {count} rows, more than the cap of {_SWEEP_ROW_CAP}")
-    fmt = _parse_fp(args.fp)
+    fmt = _parse_setting("fp", args.fp)
     betas = np.arange(args.beta_min, args.beta_max + 1e-9, args.beta_step)
     outpath = Path(os.environ.get("CO3_OUT") or args.out)
     outpath.parent.mkdir(parents=True, exist_ok=True)
@@ -228,7 +240,7 @@ def cmd_fit_dist(args):
 
 
 def cmd_codec(args):
-    fmt = _parse_fp(args.fp)
+    fmt = _parse_setting("fp", args.fp)
     if args.mode == "encode":
         raw = Path(args.infile).read_bytes()
         if len(raw) % 4:

@@ -45,8 +45,8 @@ class Dataset:
         return self.x_train.shape[1]
 
 
-def synth_blobs(n, k, d_in, seed, n_test=None, separation=3.0, noise=1.0, feature_scale=1.0):
-    """K Gaussian clusters with seed-fixed centers on a sphere of radius ``separation``.
+def synth_blobs(n, k, d_in, seed, n_test=None, separation=3.0, feature_scale=1.0):
+    """K unit-variance Gaussian clusters with seed-fixed centers on a sphere of radius ``separation``.
 
     ``feature_scale`` multiplies the finished features; sub-unit values mimic
     the magnitude of [0, 1]-normalized image data (CIFAR pixels have std
@@ -64,7 +64,7 @@ def synth_blobs(n, k, d_in, seed, n_test=None, separation=3.0, noise=1.0, featur
 
     def draw(count):
         y = rng.integers(0, k, size=count)
-        x = feature_scale * (centers[y] + noise * rng.normal(size=(count, d_in)))
+        x = feature_scale * (centers[y] + rng.normal(size=(count, d_in)))
         return x, y.astype(np.int64)
 
     x_train, y_train = draw(n)
@@ -143,11 +143,11 @@ def load_idx(path):
     return Dataset(x_train, y_train, x_test, y_test, k)
 
 
-def load_csv(path, test_fraction=0.2):
+def load_csv(path):
     """Labeled CSV with a header row and a ``label`` column; min-max normalized.
 
-    The tail ``test_fraction`` of rows forms the test split (deterministic,
-    no shuffling).
+    The last fifth of the rows forms the test split (deterministic, no
+    shuffling).
     """
     rows = []
     with open(path, newline="") as fh:
@@ -174,7 +174,7 @@ def load_csv(path, test_fraction=0.2):
         raise ValueError(f"{path}: labels must be non-negative integers")
     y = labels.astype(np.int64)
     x = np.delete(data, label_col, axis=1)
-    n_test = max(1, int(round(test_fraction * len(rows))))
+    n_test = max(1, int(round(0.2 * len(rows))))
     n_train = len(rows) - n_test
     if n_train < 1:
         raise ValueError(f"{path}: not enough rows for a train/test split")

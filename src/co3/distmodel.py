@@ -441,6 +441,8 @@ def w2_distance(samples, model):
     n = x.size
     if n == 0:
         raise ValueError("empty sample")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("samples contain non-finite values")
     k = min(n, W2_MAX_QUANTILES)
     q = (np.arange(1, k + 1) - 0.5) / k
     emp = x[np.ceil(q * n).astype(np.int64) - 1]  # type-1 empirical quantiles
@@ -474,16 +476,11 @@ def cell_probabilities(dist, fmt):
     Cell boundaries sit at midpoints between adjacent levels; the outermost
     cells extend to +-infinity so saturated mass is absorbed. Every level gets
     at least the floor probability (added, then renormalized) so all symbols
-    stay encodable. A midpoint is ``0.5 * (a + b)``, or ``0.5 * a + 0.5 * b``
-    where the sum of two levels near float64's largest value overflows.
+    stay encodable.
     """
-    from .fpq import enumerate_levels
+    from .fpq import _midpoints, enumerate_levels
 
-    levels = enumerate_levels(fmt)
-    with np.errstate(over="ignore"):
-        mids = 0.5 * (levels[:-1] + levels[1:])
-    wide = ~np.isfinite(mids)
-    mids[wide] = 0.5 * levels[:-1][wide] + 0.5 * levels[1:][wide]
+    mids = _midpoints(enumerate_levels(fmt))
     cdf = gennorm_cdf(mids, dist)
     p = np.diff(np.concatenate(([0.0], cdf, [1.0])))
     p = p + CELL_PROB_FLOOR

@@ -10,25 +10,27 @@ is bit-exact and fully self-describing on the decode side:
 
 All multi-byte integers are little-endian; codewords are packed MSB-first and
 the final byte is zero-padded. The sign field must be 1, as every format has
-one sign bit; the payload holds 8 * its bytes - pad_bit_count bits. Codebooks
-are canonical (derived from lengths and level order alone) with deterministic
-tie-breaking, so encoder and decoder derive identical codes independently.
+one sign bit; the payload holds 8 * its bytes - pad_bit_count bits. A code is
+its lengths: in (length, level) order, the canonical codeword of rank i,
+left-justified to the longest length M, is the Kraft sum sum_{j<i} 2**(M - L_j),
+so encoder and decoder derive identical codes, and one table per codebook,
+built once from the lengths, serves both.
 
 Encoding places each codeword into the big-endian 64-bit word holding its
 first bit: the codewords starting in one word are OR-reduced into it, and only
 the last of them can spill into the next word, since codes have at most 63
 bits. It runs in chunks of 8192 symbols, so no array holds an entry per bit.
 
-Decoding is one vectorized path for every code length up to 63 bits. Canonical
-codewords left-justified to the longest length ascend in (length, level) order,
-so the window of bits at each payload bit gives the length and level of a
-codeword starting there: a lookup table over the window's first
-k = min(longest, 12) bits holds them for every code of at most k bits, and the
-windows at or past the first longer code (few: their Kraft mass is small) are
-placed among each length's first codeword by a searchsorted. The tables are
-built once per codebook. Pointer doubling composes lengths into jumps over 4
-codewords; a Python walk visits every 4th start and strided gathers fill in
-the rest. Checked: no more symbols than payload bits (before allocating), none
+Decoding is one vectorized path for every code length up to 63 bits. The
+canonical codewords left-justified to M ascend, so one rule, a searchsorted
+among each length's first codeword, places the window of M bits at each
+payload bit: it gives the length and level of the codeword starting there. A
+lookup table over the window's first k = min(M, 12) bits holds its answers for
+the codes of at most k bits; only the windows at or past the first longer code
+(few: their Kraft mass is small) take the searchsorted. Pointer doubling
+composes lengths into jumps over 4 codewords; a Python walk visits every 4th
+start and strided gathers fill in the rest. Checked: the codebook's lengths
+are the block's, no more symbols than payload bits (before allocating), none
 starting or ending past the payload, and exactly the declared pad bits after
 the last, all zero. Chunks of 8192 windows and uint8 per-bit arrays keep large
 blocks under 16 bytes per bit.
@@ -66,10 +68,21 @@ class CorruptionError(ValueError):
 
 @dataclass(frozen=True)
 class HuffmanCodebook:
-    """Canonical prefix code over the level alphabet."""
+    """Canonical prefix code over the level alphabet: its code lengths in ascending level order, checked when built."""
 
     code_lengths: tuple
-    codewords: tuple
+
+    def __post_init__(self):
+        lengths = self.code_lengths
+        if not isinstance(lengths, tuple):
+            raise TypeError("code_lengths must be a tuple; from_lengths takes any iterable")
+        if len(lengths) < 2:
+            raise CorruptionError("a codebook needs at least 2 levels")
+        if any(l < 1 or l > _MAX_CODE_LEN for l in lengths):
+            raise CorruptionError(f"code lengths must lie in [1, {_MAX_CODE_LEN}]")
+        max_len = max(lengths)
+        if sum(1 << (max_len - l) for l in lengths) != 1 << max_len:
+            raise CorruptionError("code lengths violate Kraft equality")
 
     @property
     def level_count(self):
@@ -79,32 +92,16 @@ class HuffmanCodebook:
     def max_length(self):
         return max(self.code_lengths)
 
+    @property
+    def codewords(self):
+        """Each level's canonical codeword, as an int of its code length's bits."""
+        t = _code_tables(self)
+        return tuple((t.left >> (64 - t.lengths).astype(np.uint64)).tolist())
+
     @classmethod
     def from_lengths(cls, lengths):
-        """Derive canonical codewords from per-level lengths (ascending level order).
-
-        Codes are assigned in (length, level index) order, so equal inputs give
-        bit-identical codebooks everywhere.
-        """
-        lengths = tuple(int(l) for l in lengths)
-        if len(lengths) < 2:
-            raise CorruptionError("a codebook needs at least 2 levels")
-        if any(l < 1 or l > _MAX_CODE_LEN for l in lengths):
-            raise CorruptionError(f"code lengths must lie in [1, {_MAX_CODE_LEN}]")
-        max_len = max(lengths)
-        kraft = sum(1 << (max_len - l) for l in lengths)
-        if kraft != 1 << max_len:
-            raise CorruptionError("code lengths violate Kraft equality")
-        order = sorted(range(len(lengths)), key=lambda i: (lengths[i], i))
-        codes = [0] * len(lengths)
-        code = 0
-        prev_len = lengths[order[0]]
-        for rank, i in enumerate(order):
-            if rank:
-                code = (code + 1) << (lengths[i] - prev_len)
-            codes[i] = code
-            prev_len = lengths[i]
-        return cls(lengths, tuple(codes))
+        """The codebook of an iterable of per-level code lengths."""
+        return cls(tuple(int(l) for l in lengths))
 
 
 def build_codebook(probs):
@@ -243,24 +240,23 @@ def encode(q, codebook, *, user_id=0, iteration=0, layer_id=0):
         )
     if float(np.float32(q.fmt.bias)) != q.fmt.bias:
         raise ValueError(f"bias {q.fmt.bias!r} is not a float32, so the header cannot carry it")
-    len_table = np.asarray(codebook.code_lengths, dtype=np.int64)
-    total = sum(int(len_table[sym[a : a + _CHUNK]].sum()) for a in range(0, sym.size, _CHUNK))
+    t = _code_tables(codebook)
+    total = sum(int(t.lengths[sym[a : a + _CHUNK]].sum()) for a in range(0, sym.size, _CHUNK))
     # codewords left-justified in 64 bits: shifted right by the offset of
     # their first bit, they OR into that bit's word, and the bits shifted out
     # spill into the next word; codes of at most 63 bits span two words at
     # most, so only the last codeword starting in a word can spill
-    left = np.asarray(codebook.codewords, dtype=np.uint64) << (64 - len_table).astype(np.uint64)
     words = np.zeros((total >> 6) + 2, dtype=np.uint64)
     end = 0
     for a in range(0, sym.size, _CHUNK):
         chunk = sym[a : a + _CHUNK]
-        lengths = len_table[chunk]
+        lengths = t.lengths[chunk]
         ends = np.cumsum(lengths) + end
         end = int(ends[-1])
         starts = ends - lengths
         word = starts >> 6
         offset = (starts & 63).astype(np.uint64)
-        codes = left[chunk]
+        codes = t.left[chunk]
         first = np.empty(chunk.size, dtype=bool)
         first[0] = True
         np.not_equal(word[1:], word[:-1], out=first[1:])
@@ -282,9 +278,11 @@ def encode(q, codebook, *, user_id=0, iteration=0, layer_id=0):
     )
 
 
-class _DecodeTables(NamedTuple):
-    """A codebook's canonical runs and its lookup table over the first bits of a window."""
+class _CodeTables(NamedTuple):
+    """A codebook's codewords, its canonical runs and its lookup table over the first bits of a window."""
 
+    lengths: np.ndarray  # per level: its code length
+    left: np.ndarray  # per level: its codeword left-justified in 64 bits
     order: np.ndarray  # levels in canonical (length, level) order
     limits: np.ndarray  # left-justified first codeword of each run after the first
     shifts: np.ndarray  # per run: window bits below its code length
@@ -295,34 +293,49 @@ class _DecodeTables(NamedTuple):
     long_from: np.uint64  # the first window (of the longest code's width) whose code is longer than the table
 
 
+def _lookup(tables, windows):
+    """Length and level of the codeword each window (of the longest code's width) begins; its run is the number of run starts it reaches."""
+    run = np.searchsorted(tables.limits, windows, side="right")
+    levels = tables.order[((windows >> tables.shifts[run]) - tables.offsets[run]).view(np.int64)]
+    return tables.run_lens[run], levels
+
+
 @lru_cache(maxsize=64)
-def _decode_tables(codebook):
-    """Tables for ``decode``, built once per codebook; every array is read-only."""
-    order = np.argsort(codebook.code_lengths, kind="stable")
-    lens = np.asarray(codebook.code_lengths, dtype=np.uint64)[order]
-    codes = np.asarray(codebook.codewords, dtype=np.uint64)[order]
+def _code_tables(codebook):
+    """Tables for ``encode`` and ``decode``, built once per codebook; every array is read-only.
+
+    The codewords are Kraft sums, which total 2**M <= 2**63, so uint64 holds them exactly.
+    """
+    lengths = np.asarray(codebook.code_lengths, dtype=np.int64)
+    top = codebook.max_length
+    order = np.argsort(lengths, kind="stable")
+    lens = lengths[order].astype(np.uint64)
+    kraft = np.zeros(lengths.size + 1, dtype=np.uint64)
+    np.cumsum(np.uint64(1) << (np.uint64(top) - lens), out=kraft[1:])
+    codes = kraft[:-1]
+    left = np.empty_like(codes)
+    left[order] = codes << np.uint64(64 - top)
     first = np.flatnonzero(np.diff(lens, prepend=0))
-    shifts = codebook.max_length - lens[first]
-    # a code of length l <= k begins 2**(k - l) of the k-bit prefixes; canonical codes
-    # of at most k bits fill the table in order from entry 0, the longer ones follow
-    k = min(codebook.max_length, _TABLE_BITS)
-    short = np.flatnonzero(lens <= k)
-    reps = 1 << (k - lens[short]).astype(np.int64)
-    sym_type = np.min_scalar_type(codebook.level_count - 1)
-    lut_len = np.zeros(1 << k, dtype=np.uint8)
-    lut_sym = np.zeros(1 << k, dtype=sym_type)
-    filled = int(reps.sum())
-    lut_len[:filled] = lens[short].astype(np.uint8).repeat(reps)
-    lut_sym[:filled] = order[short].astype(sym_type).repeat(reps)
-    tables = _DecodeTables(
+    shifts = top - lens[first]
+    k = min(top, _TABLE_BITS)
+    tables = _CodeTables(
+        lengths=lengths,
+        left=left,
         order=order,
-        limits=codes[first[1:]] << shifts[1:],
+        limits=codes[first[1:]],
         shifts=shifts,
-        offsets=codes[first] - first.astype(np.uint64),
+        offsets=(codes[first] >> shifts) - first.astype(np.uint64),
         run_lens=lens[first].astype(np.uint8),
-        lut_len=lut_len,
-        lut_sym=lut_sym,
-        long_from=np.uint64(filled) << np.uint64(codebook.max_length - k),
+        lut_len=None,
+        lut_sym=None,
+        long_from=kraft[np.searchsorted(lens, k, side="right")],  # the longer codes come last
+    )
+    # a k-bit prefix padded with zeros is a window of the code it begins
+    lut_len, lut_sym = _lookup(tables, np.arange(1 << k, dtype=np.uint64) << np.uint64(top - k))
+    short = lut_len <= k
+    tables = tables._replace(
+        lut_len=np.where(short, lut_len, 0).astype(np.uint8),
+        lut_sym=np.where(short, lut_sym, 0).astype(np.min_scalar_type(codebook.level_count - 1)),
     )
     for table in tables:
         if isinstance(table, np.ndarray):
@@ -331,18 +344,20 @@ def _decode_tables(codebook):
 
 
 def decode(block, codebook, symbol_count=None):
-    """Recover the block's ``symbol_count`` symbols exactly; validates consumption and padding.
+    """Recover the block's ``symbol_count`` symbols exactly; validates the codebook, consumption and padding.
 
     No caller in co3 passes ``symbol_count``; it stays only because the
     benchmark's tests wrap ``decode`` with a signature that passes it on.
     """
+    if codebook.code_lengths != block.code_lengths:
+        raise CorruptionError("the codebook's code lengths are not the block's")
     n = block.symbol_count if symbol_count is None else symbol_count
     nbits = 8 * len(block.payload)
     # every codeword is at least 1 bit; check before allocating the output
     if n > nbits:
         raise TruncationError(f"{n} symbols cannot fit in {nbits} payload bits")
     out = np.empty(n, dtype=np.int32)
-    t = _decode_tables(codebook)
+    t = _code_tables(codebook)
     pad = bytes(-len(block.payload) % 8 + 16)  # so that every window has a next word
     words = np.frombuffer(block.payload + pad, dtype=">u8").astype(np.uint64)
     to_width = np.uint64(64 - codebook.max_length)
@@ -361,12 +376,9 @@ def decode(block, codebook, symbol_count=None):
         np.take(t.lut_len, prefix, out=d[a : a + win.size])
         np.take(t.lut_sym, prefix, out=sym[a : a + win.size])
         if codebook.max_length > _TABLE_BITS:
-            # a code longer than the table: its run is the number of run starts the window reaches
+            # the windows that begin a code longer than the table
             long = np.flatnonzero(win >= t.long_from)
-            lwin = win[long]
-            run = np.searchsorted(t.limits, lwin, side="right")
-            d[a + long] = t.run_lens[run]
-            sym[a + long] = t.order[((lwin >> t.shifts[run]) - t.offsets[run]).view(np.int64)]
+            d[a + long], sym[a + long] = _lookup(t, win[long])
     # jump[p]: bits spanned by the 2**k codewords from p, by pointer doubling
     jump = d
     for _ in range(_DOUBLINGS):

@@ -174,6 +174,11 @@ def _unordered(key):
     return np.where(key < 0, -((-key).view(np.float64)), key.view(np.float64))
 
 
+def _midpoints(levels):
+    """``0.5 * lo + 0.5 * hi`` of each pair of neighbours along the last axis; it cannot overflow."""
+    return 0.5 * levels[..., :-1] + 0.5 * levels[..., 1:]
+
+
 @lru_cache(maxsize=64)
 def _edges(fmt):
     """Per cell, the smallest float that ``quantize``'s rule sends to the upper level; read-only.
@@ -188,7 +193,7 @@ def _edges(fmt):
     lo, hi = levels[:-1], levels[1:]
     odd = np.arange(1, levels.size) % 2 == 1
     a, b = _ordered(lo), _ordered(hi)
-    mid = _ordered(0.5 * lo + 0.5 * hi)
+    mid = _ordered(_midpoints(levels))
     near = np.clip(mid[:, None] + np.arange(-_EDGE_ULPS, _EDGE_ULPS + 1), a[:, None], b[:, None])
     up = _rounds_up(_unordered(near), lo[:, None], hi[:, None], odd[:, None])
     a = np.where(up, a[:, None], near).max(axis=1)
@@ -292,7 +297,7 @@ def _cell_errors(biases, dist, fmt, cells=None):
     bufs = [np.empty((min(rows, biases.size), width, n)) for _ in range(3)]
     for a in range(0, biases.size, rows):
         levels = _levels_at(fmt.mant_bits, fmt.exp_bits, biases[a : a + rows])
-        mids = 0.5 * (levels[:, :-1] + levels[:, 1:])
+        mids = _midpoints(levels)
         ends = [np.full((mids.shape[0], 1), v) for v in (lo, hi)]
         edges = np.concatenate((ends[0], mids, ends[1]), axis=1).clip(lo, hi)
         cell_lo = edges[:, :-1]
@@ -383,7 +388,7 @@ def bias_polynomial(beta, sigma):
     degree-4 polynomial to the ``b_grid`` column written by
     ``co3 bias-sweep --beta-min 0.3 --beta-max 1.6 --beta-step 0.05 --sigma 1``.
     """
-    if beta <= 0 or sigma <= 0:
-        raise ValueError("beta and sigma must be positive")
+    if not (0 < beta < math.inf and 0 < sigma < math.inf):
+        raise ValueError("beta and sigma must be positive and finite")
     poly = 3.496 - 5.631 * beta + 4.780 * beta**2 - 2.015 * beta**3 + 0.329 * beta**4
     return poly + math.log2(sigma)

@@ -28,6 +28,7 @@ the blocks or the (g, g_hat) pairs wraps those functions for the run.
 
 import csv
 import math
+import numbers
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -171,6 +172,9 @@ class TrainConfig:
     keep_fit_samples: bool = False
 
     def __post_init__(self):
+        counts = (self.users, self.epochs, self.batch_size, *self.hidden)
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in counts):
+            raise ValueError(f"users, epochs, batch_size and hidden sizes must be integers, got {counts}")
         if not (math.isfinite(self.eta) and self.eta > 0):
             raise ValueError(f"eta must be positive and finite, got {self.eta}")
         if not 0.0 <= self.gamma <= 1.0:

@@ -46,7 +46,7 @@ from recording import train_recorded
 # steep learning phase at 30 epochs, where the quantization lag of gamma=0
 # is visible and error feedback pays off
 DESK = dict(n=5000, k=10, d_in=32, seed=7, n_test=1000, separation=2.4,
-            noise=1.0, feature_scale=0.35)
+            feature_scale=0.35)
 SWEEP_EPOCHS = 30
 SWEEP_SEEDS = (0, 1, 2)
 
@@ -61,7 +61,7 @@ def report(num, name, passed, detail=""):
 def desk_dataset():
     return synth_blobs(
         DESK["n"], DESK["k"], DESK["d_in"], DESK["seed"],
-        n_test=DESK["n_test"], separation=DESK["separation"], noise=DESK["noise"],
+        n_test=DESK["n_test"], separation=DESK["separation"],
         feature_scale=DESK["feature_scale"],
     )
 
@@ -89,7 +89,7 @@ def sweep_runs(desk_dataset):
 def ef_desk_run():
     """Smaller complete run, recorded: its streams and full (g, g_hat) history."""
     ds = synth_blobs(2000, DESK["k"], DESK["d_in"], 11, n_test=400,
-                     separation=DESK["separation"], noise=DESK["noise"],
+                     separation=DESK["separation"],
                      feature_scale=DESK["feature_scale"])
     cfg = TrainConfig(epochs=6, gamma=0.9, users=2, seed=1)
     metrics, _, streams, history = train_recorded(cfg, ds)

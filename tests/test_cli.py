@@ -85,7 +85,13 @@ class TestTrain:
         ({"epochs": None}, "setting 'epochs' must not be null"),
         ({"eta": [1]}, "setting 'eta' has the wrong type"),
         ({"blobs_n": None}, "setting 'blobs_n' must not be null"),
-    ], ids=["hidden-int", "epochs-null", "eta-list", "blobs_n-null"])
+        ({"epochs": 1.7}, "setting 'epochs' has the wrong type"),
+        ({"hidden": [3.9]}, "setting 'hidden' has the wrong type"),
+        ({"batch_size": 8.5}, "setting 'batch_size' has the wrong type"),
+        ({"users": True}, "setting 'users' has the wrong type"),
+        ({"fp": [1, 2.9, 1]}, "setting 'fp' has the wrong type"),
+    ], ids=["hidden-int", "epochs-null", "eta-list", "blobs_n-null",
+            "epochs-float", "hidden-float", "batch_size-float", "users-bool", "fp-float"])
     def test_config_value_of_the_wrong_type_fails_typed(self, tmp_path, capsys, extra, message):
         cfg = _small_blobs_config(tmp_path, extra=extra)
         code = run_cli(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])

@@ -148,7 +148,7 @@ class TestCsv:
     def test_round_trip(self, tmp_path):
         p = tmp_path / "data.csv"
         p.write_text("f0,label,f1\n0.0,0,10\n1.0,1,20\n2.0,0,30\n3.0,1,40\n4.0,0,50\n")
-        ds = load_csv(p, test_fraction=0.2)
+        ds = load_csv(p)
         assert len(ds.y_train) == 4 and len(ds.y_test) == 1
         assert ds.x_train.min() == 0.0 and ds.x_train.max() == 1.0
         assert ds.n_classes == 2

@@ -328,6 +328,12 @@ class TestW2:
         assert w2_distance(x, model) == ref
         assert w2_distance(x, model) == ref  # from the cached unit quantiles
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_samples_raise(self, bad):
+        x = np.r_[np.linspace(-1.0, 1.0, 300), [bad]]
+        with pytest.raises(ValueError, match="non-finite"):
+            w2_distance(x, GenNormParams(2.0, 0.0, 1.0))
+
     def test_cached_unit_quantiles_are_read_only(self):
         w2_distance(np.linspace(-1.0, 1.0, 300), GenNormParams(2.0, 0.0, 1.0))
         z = distmodel._unit_quantiles(2.0, 300)

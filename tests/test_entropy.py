@@ -135,6 +135,12 @@ class TestCodebook:
         with pytest.raises(CorruptionError):
             HuffmanCodebook.from_lengths([0, 1])
 
+    def test_direct_construction_is_checked(self):
+        with pytest.raises(CorruptionError, match="Kraft"):
+            HuffmanCodebook((1, 2, 2, 2))
+        with pytest.raises(TypeError, match="tuple"):
+            HuffmanCodebook([1, 1])
+
 
 class TestEncodeDecode:
     def test_empty_tensor(self):
@@ -308,6 +314,19 @@ class TestEncodeDecode:
         )
         with pytest.raises(CorruptionError, match="pad"):
             decode(corrupted, cb)
+
+    def test_foreign_codebook_detected(self):
+        # the block's lengths in reverse order: an equally valid code that
+        # would decode every symbol of the block to another level
+        fmt = FP4
+        counts = np.arange(1, fmt.level_count + 1)
+        cb = build_codebook(counts / counts.sum())
+        foreign = HuffmanCodebook(cb.code_lengths[::-1])
+        assert foreign != cb
+        sym = np.random.default_rng(12).integers(0, fmt.level_count, 500).astype(np.int32)
+        block = encode(QuantizedTensor(sym, fmt), cb)
+        with pytest.raises(CorruptionError, match="not the block's"):
+            decode(block, foreign)
 
     def test_wrong_symbol_count_vs_padding(self):
         cb = build_codebook([0.5, 0.25, 0.125, 0.125])
@@ -504,11 +523,44 @@ TABLE_EDGE_CODEBOOKS = {
 }
 
 
+def per_level_codewords(lengths):
+    """The canonical assignment level by level: in (length, level) order, each code is the last plus one, shifted to its length."""
+    order = sorted(range(len(lengths)), key=lambda i: (lengths[i], i))
+    codes = [0] * len(lengths)
+    code, prev_len = 0, lengths[order[0]]
+    for rank, i in enumerate(order):
+        if rank:
+            code = (code + 1) << (lengths[i] - prev_len)
+        codes[i] = code
+        prev_len = lengths[i]
+    return tuple(codes)
+
+
+def repeat_lookup_table(lengths, k):
+    """The k-bit lookup table filled run by run: in canonical order from entry 0, a code of l <= k bits fills 2**(k - l) entries."""
+    lut_len, lut_sym = [], []
+    for i in sorted(range(len(lengths)), key=lambda i: (lengths[i], i)):
+        if lengths[i] <= k:
+            lut_len += [lengths[i]] * (1 << (k - lengths[i]))
+            lut_sym += [i] * (1 << (k - lengths[i]))
+    rest = [0] * ((1 << k) - len(lut_len))
+    return lut_len + rest, lut_sym + rest
+
+
 class TestDecodeTables:
+    @settings(ORACLE_SETTINGS, max_examples=300)
+    @given(canonical_codebooks())
+    def test_kraft_sums_agree_with_the_per_level_assignment(self, cb):
+        assert cb.codewords == per_level_codewords(cb.code_lengths)
+        lut_len, lut_sym = repeat_lookup_table(cb.code_lengths, min(cb.max_length, entropy._TABLE_BITS))
+        tables = entropy._code_tables(cb)
+        assert tables.lut_len.tolist() == lut_len
+        assert tables.lut_sym.tolist() == lut_sym
+
     def test_uniform_1_7_6_codes_are_all_longer_than_the_table(self):
         cb = TABLE_EDGE_CODEBOOKS["uniform-1-7-6"]
         assert set(cb.code_lengths) == {13, 14}
-        assert entropy._decode_tables(cb).long_from == 0
+        assert entropy._code_tables(cb).long_from == 0
 
     @pytest.mark.parametrize("name", TABLE_EDGE_CODEBOOKS)
     def test_long_from_is_the_first_window_of_a_code_longer_than_the_table(self, name):
@@ -519,7 +571,7 @@ class TestDecodeTables:
             if length > entropy._TABLE_BITS
         ]
         expected = min(longer) if longer else 1 << cb.max_length
-        assert entropy._decode_tables(cb).long_from == expected
+        assert entropy._code_tables(cb).long_from == expected
 
     @pytest.mark.parametrize("name", TABLE_EDGE_CODEBOOKS)
     def test_decode_agrees_with_oracle_across_chunks(self, name):
@@ -541,10 +593,17 @@ class TestDecodeTables:
     def test_two_decodes_with_one_codebook_build_its_tables_once(self):
         cb = build_codebook([0.4, 0.3, 0.2, 0.1])
         block = encode(QuantizedTensor(np.array([0, 3, 1, 2], dtype=np.int32), FP4), cb)
-        entropy._decode_tables.cache_clear()
+        entropy._code_tables.cache_clear()
         decode(block, cb)
         decode_block(block)  # rebuilds an equal codebook from the header's lengths
-        info = entropy._decode_tables.cache_info()
+        info = entropy._code_tables.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_encode_and_decode_read_one_table(self):
+        cb = build_codebook([0.4, 0.3, 0.2, 0.1])
+        entropy._code_tables.cache_clear()
+        decode(encode(QuantizedTensor(np.array([0, 3, 1, 2], dtype=np.int32), FP4), cb), cb)
+        info = entropy._code_tables.cache_info()
         assert (info.misses, info.hits) == (1, 1)
 
 

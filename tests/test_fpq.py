@@ -371,6 +371,10 @@ class TestBias:
             bias_polynomial(0.0, 1.0)
         with pytest.raises(ValueError):
             bias_polynomial(1.0, -1.0)
+        with pytest.raises(ValueError):
+            bias_polynomial(math.nan, 1.0)
+        with pytest.raises(ValueError):
+            bias_polynomial(1.0, math.inf)
 
     def test_optimizer_matches_brute_force_grid(self):
         for beta in (0.8, 2.0):

@@ -181,6 +181,16 @@ class TestTrainConfig:
             TrainConfig(quantizer="int8")
         with pytest.raises(ValueError):
             TrainConfig(users=0)
+        with pytest.raises(ValueError):
+            TrainConfig(users=1.5)
+        with pytest.raises(ValueError):
+            TrainConfig(users=True)
+        with pytest.raises(ValueError):
+            TrainConfig(epochs=1.7)
+        with pytest.raises(ValueError):
+            TrainConfig(batch_size=8.5)
+        with pytest.raises(ValueError):
+            TrainConfig(hidden=(1.5,))
 
     @pytest.mark.parametrize("hidden", [(0,), (-3,), (16, 0)])
     def test_rejects_hidden_sizes_a_model_cannot_build(self, hidden):

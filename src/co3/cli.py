@@ -42,12 +42,24 @@ def _parse_fp(value):
     return fpq.FpFormat(mant_bits=mant, exp_bits=exp)
 
 
+def _parse_real(value):
+    """A JSON number, or a flag's decimal string; anything else (a bool, a list, "nan") is a TypeError."""
+    if isinstance(value, str) and re.fullmatch(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?", value):
+        return float(value)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 def _parse_gammas(value):
-    if isinstance(value, (int, float)):
-        return [float(value)]
+    """One number, a flag's comma list or a JSON list, of at least one number."""
     if isinstance(value, str):
-        return [float(v) for v in value.split(",")]
-    return [float(v) for v in value]
+        value = value.split(",")
+    elif not isinstance(value, list):
+        value = [value]
+    if not value:
+        raise TypeError("an empty list names no gamma")
+    return [_parse_real(v) for v in value]
 
 
 def _parse_hidden(value):
@@ -69,7 +81,7 @@ class _Setting(NamedTuple):
 # Every `co3 train` setting, declared once. TrainConfig validates the values of
 # the settings it backs, whether they come from a flag or a JSON file.
 _SETTINGS = {
-    "eta": _Setting("--eta", float, "eta"),
+    "eta": _Setting("--eta", _parse_real, "eta"),
     "gamma": _Setting("--gamma", _parse_gammas, "gamma", help="memory decay, comma list sweeps"),
     "epochs": _Setting("--epochs", _parse_int, "epochs"),
     "users": _Setting("--users", _parse_int, "users"),
@@ -85,9 +97,6 @@ _SETTINGS = {
     "blobs_n": _Setting(None, _parse_int, default=5000),
     "blobs_classes": _Setting(None, _parse_int, default=10),
     "blobs_features": _Setting(None, _parse_int, default=32),
-    "blobs_seed": _Setting(None, _parse_int, default=7),
-    "blobs_separation": _Setting(None, float, default=2.4),
-    "blobs_feature_scale": _Setting(None, float, default=0.35),
 }
 _CONFIG_DEFAULTS = {f.name: f.default for f in fields(trainer.TrainConfig)}
 
@@ -140,10 +149,10 @@ def _build_dataset(settings):
             settings["blobs_n"],
             settings["blobs_classes"],
             settings["blobs_features"],
-            settings["blobs_seed"],
+            seed=7,
             n_test=settings["blobs_n"] // 5,
-            separation=settings["blobs_separation"],
-            feature_scale=settings["blobs_feature_scale"],
+            separation=2.4,
+            feature_scale=0.35,
         )
     loaders = {
         "cifar10": lambda path: datasets.load_cifar10_binary(path, limit=5000),

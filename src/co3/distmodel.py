@@ -16,6 +16,7 @@ point (DiDonato & Morris, ACM TOMS 12(4), 1986).
 """
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -59,7 +60,7 @@ class GenNormParams:
 
     @property
     def variance(self):
-        """alpha^2 Gamma(3/beta) / Gamma(1/beta); inf past float64's range."""
+        """alpha^2 Gamma(3/beta) / Gamma(1/beta); inf above float64's range, subnormal or 0 below it."""
         try:
             return self.alpha**2 * math.exp(self._log_variance_ratio)
         except OverflowError:
@@ -67,11 +68,15 @@ class GenNormParams:
 
     @property
     def sigma(self):
-        """Standard deviation; inf past float64's range."""
+        """Standard deviation, positive; inf past float64's range.
+
+        The root of the variance while alpha^2 and the variance are normal float64s;
+        where either leaves that range but sigma may not, ``alpha * exp(log ratio / 2)``.
+        """
         variance = self.variance
-        if math.isfinite(variance):
+        if sys.float_info.min <= min(self.alpha * self.alpha, variance) and variance < math.inf:
             return math.sqrt(variance)
-        try:  # alpha^2 overflows where sigma may not
+        try:
             return self.alpha * math.exp(0.5 * self._log_variance_ratio)
         except OverflowError:
             return math.inf
@@ -226,21 +231,20 @@ def _lower_gamma_inv(s, p, pc):
 # GenNorm density / CDF / quantiles
 
 
-def gennorm_logpdf(x, params, out=None):
-    """Log density at ``x``; ``out``, an array of x's shape, receives it if given."""
+def gennorm_pdf(x, params):
+    """Density at ``x``, a scalar for a scalar x: exp(log normalizer - (|x - mu| / alpha)^beta).
+
+    Each step runs in place on one array of x's shape that it allocates.
+    """
     x = np.asarray(x, dtype=np.float64)
     b, a = params.beta, params.alpha
     lognorm = math.log(b) - math.log(2.0 * a) - math.lgamma(1.0 / b)
-    z = np.subtract(x, params.mu, out=np.empty_like(x) if out is None else out)
+    z = np.subtract(x, params.mu, out=np.empty_like(x))
     np.abs(z, out=z)
     z /= a
     z **= b
-    return np.subtract(lognorm, z, out=z)[()]  # [()]: a scalar for a scalar x
-
-
-def gennorm_pdf(x, params, out=None):
-    """Density at ``x``; ``out``, an array of x's shape, receives it if given."""
-    return np.exp(gennorm_logpdf(x, params, out), out=out)
+    np.subtract(lognorm, z, out=z)
+    return np.exp(z, out=z)[()]
 
 
 def gennorm_cdf(x, params):

@@ -39,7 +39,6 @@ log2(sigma) for other scales; it holds to within about 0.011 for beta in
 [0.3, 1.6] and is not valid for other formats.
 """
 
-import logging
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -48,8 +47,6 @@ import numpy as np
 
 from ._minimize import bounded_scores, grid_then_golden
 from .distmodel import GenNormParams, gennorm_pdf
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -250,8 +247,6 @@ _QUAD_NODES = 4096
 # 0.54 to 1.40, as trained, loses at most 0.011 % MSE (the FOUND line on the
 # +-16 sigma span in CHANGES.md; ROADMAP item 3 replaces the quadrature)
 _QUAD_SPAN_SIGMAS = 16.0
-# a fitted scale below this is degenerate and gets bias 0
-_ALPHA_FLOOR = 1e-12
 # optimize_bias's search space in unit-variance coordinates: 161 biases from
 # -4 to 4 in steps of 0.05, then golden section to this tolerance
 _BIAS_GRID = np.arange(-4.0, 4.0 + 0.5 * 0.05, 0.05)
@@ -283,8 +278,7 @@ def _cell_errors(biases, dist, fmt, cells=None):
 
     ``cells`` selects the columns (default: all). Every entry is
     non-negative, so any subset of a row sums to at most the row's objective.
-    Biases are taken in passes of at most ``_PASS_NODES`` nodes; each pass
-    writes into the same three (rows, cells, nodes) buffers.
+    Biases are taken in passes of at most ``_PASS_NODES`` nodes.
     """
     t, w = _bias_quadrature(fmt.mant_bits, fmt.exp_bits)
     n = t.size
@@ -294,7 +288,6 @@ def _cell_errors(biases, dist, fmt, cells=None):
     width = cells.size
     rows = _pass_rows(fmt, width)
     out = np.empty((biases.size, width))
-    bufs = [np.empty((min(rows, biases.size), width, n)) for _ in range(3)]
     for a in range(0, biases.size, rows):
         levels = _levels_at(fmt.mant_bits, fmt.exp_bits, biases[a : a + rows])
         mids = _midpoints(levels)
@@ -303,13 +296,11 @@ def _cell_errors(biases, dist, fmt, cells=None):
         cell_lo = edges[:, :-1]
         cell_hi = np.maximum(edges[:, 1:], cell_lo)[:, cells]
         cell_lo, levels = cell_lo[:, cells], levels[:, cells]
-        x, pdf, err2 = (buf[: levels.shape[0]] for buf in bufs)
-        np.multiply((cell_hi - cell_lo)[..., None], t, out=x)
+        x = (cell_hi - cell_lo)[..., None] * t
         x += cell_lo[..., None]
-        gennorm_pdf(x, dist, out=pdf)
-        np.subtract(levels[..., None], x, out=err2)
+        err2 = levels[..., None] - x
         err2 **= 2
-        err2 *= pdf
+        err2 *= gennorm_pdf(x, dist)
         h = (cell_hi - cell_lo) / (n - 1)
         out[a : a + rows] = h * (err2 @ w) / 3.0
     return out
@@ -352,13 +343,6 @@ def optimize_bias(dist, fmt):
     neighbors, one scalar call per step, so the result is the one the full
     grid gives.
     """
-    if dist.alpha < _ALPHA_FLOOR:
-        log.warning(
-            "degenerate gradient distribution (alpha=%.3g < %.3g); bias defaults to 0",
-            dist.alpha,
-            _ALPHA_FLOOR,
-        )
-        return 0.0
     sigma = dist.sigma
     if math.isinf(sigma):
         raise ValueError(f"the standard deviation of {dist} overflows float64")

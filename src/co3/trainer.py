@@ -172,15 +172,17 @@ class TrainConfig:
     keep_fit_samples: bool = False
 
     def __post_init__(self):
-        counts = (self.users, self.epochs, self.batch_size, *self.hidden)
+        counts = (self.users, self.epochs, self.batch_size, self.seed, *self.hidden)
         if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in counts):
-            raise ValueError(f"users, epochs, batch_size and hidden sizes must be integers, got {counts}")
+            raise ValueError(f"users, epochs, batch_size, seed and hidden sizes must be integers, got {counts}")
+        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in (self.eta, self.gamma)):
+            raise ValueError(f"eta and gamma must be real numbers, got {self.eta!r} and {self.gamma!r}")
         if not (math.isfinite(self.eta) and self.eta > 0):
             raise ValueError(f"eta must be positive and finite, got {self.eta}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
-        if self.users < 1 or self.epochs < 0 or self.batch_size < 1:
-            raise ValueError("users >= 1, epochs >= 0, batch_size >= 1 required")
+        if self.users < 1 or self.epochs < 0 or self.batch_size < 1 or self.seed < 0:
+            raise ValueError("users >= 1, epochs >= 0, batch_size >= 1, seed >= 0 required")
         if self.quantizer not in ("fp", "identity"):
             raise ValueError(f"unknown quantizer {self.quantizer!r}")
         if self.bias_mode not in ("optimize", "polynomial"):

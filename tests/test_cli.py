@@ -90,8 +90,15 @@ class TestTrain:
         ({"batch_size": 8.5}, "setting 'batch_size' has the wrong type"),
         ({"users": True}, "setting 'users' has the wrong type"),
         ({"fp": [1, 2.9, 1]}, "setting 'fp' has the wrong type"),
+        ({"eta": True}, "setting 'eta' has the wrong type"),
+        ({"eta": "fast"}, "setting 'eta' has the wrong type"),
+        ({"gamma": True}, "setting 'gamma' has the wrong type"),
+        ({"gamma": [0.5, False]}, "setting 'gamma' has the wrong type"),
+        ({"gamma": []}, "setting 'gamma' has the wrong type"),
+        ({"gamma": {"0.5": 1}}, "setting 'gamma' has the wrong type"),
     ], ids=["hidden-int", "epochs-null", "eta-list", "blobs_n-null",
-            "epochs-float", "hidden-float", "batch_size-float", "users-bool", "fp-float"])
+            "epochs-float", "hidden-float", "batch_size-float", "users-bool", "fp-float",
+            "eta-bool", "eta-word", "gamma-bool", "gamma-list-bool", "gamma-empty", "gamma-object"])
     def test_config_value_of_the_wrong_type_fails_typed(self, tmp_path, capsys, extra, message):
         cfg = _small_blobs_config(tmp_path, extra=extra)
         code = run_cli(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
@@ -115,6 +122,13 @@ class TestTrain:
         code = run_cli(["train", "--config", str(cfg), "--epochs", "1", "--out", str(tmp_path / "o")])
         assert code == 1
         assert "unknown config keys: shard_mode" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["blobs_seed", "blobs_separation", "blobs_feature_scale"])
+    def test_blobs_shape_keys_are_gone(self, tmp_path, capsys, key):
+        cfg = _small_blobs_config(tmp_path, extra={key: 1})
+        code = run_cli(["train", "--config", str(cfg), "--epochs", "1", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert f"unknown config keys: {key}" in capsys.readouterr().err
 
     def test_empty_test_split_fails_typed(self, tmp_path, capsys):
         # 4 // 5 = 0 test samples
@@ -335,6 +349,21 @@ class TestCodec:
         assert fmt.bias == pytest.approx(unit + math.log2(1e160), abs=1e-4)
         expected = dequantize(quantize(x.astype(np.float64), fmt)).astype("<f4")
         assert np.fromfile(decoded, dtype="<f4").tobytes() == expected.tobytes()
+
+    def test_encode_at_scale_1e_13_keeps_values(self, tmp_path):
+        infile, encoded, decoded = tmp_path / "g.f32", tmp_path / "g.co3", tmp_path / "g.dec.f32"
+        x = np.random.default_rng(0).laplace(0, 1e-13, 1000).astype("<f4")
+        x.tofile(infile)
+        assert run_cli(["codec", "encode", str(infile), str(encoded), "--beta", "1", "--alpha", "1e-13"]) == 0
+        assert run_cli(["codec", "decode", str(encoded), str(decoded)]) == 0
+        assert np.count_nonzero(np.fromfile(decoded, dtype="<f4")) > 500
+
+    def test_encode_with_levels_below_float64_fails_typed(self, tmp_path, capsys):
+        infile = tmp_path / "g.f32"
+        np.ones(10, dtype="<f4").tofile(infile)
+        args = ["codec", "encode", str(infile), str(tmp_path / "g.co3"), "--beta", "2", "--alpha", "5e-324"]
+        assert run_cli(args) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_encode_past_float64_fails_typed(self, tmp_path, capsys):
         # a standard deviation past float64's range: alpha 1e300 at shape 0.1

@@ -234,6 +234,19 @@ class TestFits:
         assert GenNormParams(0.1, 0.0, 1e300).sigma == math.inf
         assert GenNormParams(0.001, 0.0, 1.0).variance == GenNormParams(0.001, 0.0, 1.0).sigma == math.inf
 
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 2.0])
+    def test_sigma_at_every_scale(self, beta):
+        # the variance is subnormal at alpha 1e-160 and 0 at 1e-170; sigma is neither
+        ratio = math.sqrt(math.gamma(3.0 / beta) / math.gamma(1.0 / beta))
+        for alpha in (1e-160, 1e-170, *(10.0**e for e in range(-300, 301, 10))):
+            assert GenNormParams(beta, 0.0, alpha).sigma == pytest.approx(alpha * ratio, rel=1e-15, abs=0.0)
+        assert GenNormParams(beta, 0.0, 5e-324).sigma > 0.0
+
+    def test_sigma_where_alpha_squared_underflows_but_the_variance_does_not(self):
+        # beta 0.1: Gamma(30) / Gamma(10) lifts alpha^2 = 1e-322, a subnormal, to a normal variance
+        ratio = math.sqrt(math.gamma(30.0) / math.gamma(10.0))
+        assert GenNormParams(0.1, 0.0, 1e-161).sigma == pytest.approx(1e-161 * ratio, rel=1e-14, abs=0.0)
+
     def test_gennorm_recovers_normal_shape(self):
         rng = np.random.default_rng(11)
         fit = fit_gennorm(rng.normal(0, 1, 200_000))

@@ -449,8 +449,17 @@ class TestBias:
             with pytest.raises(ValueError):
                 bias_objective(b, dist, FP4)
 
-    def test_degenerate_scale_defaults_to_zero(self, caplog):
-        dist = GenNormParams(2.0, 0.0, 1e-15)
-        with caplog.at_level("WARNING"):
-            assert optimize_bias(dist, FP4) == 0.0
-        assert "degenerate" in caplog.text
+    @pytest.mark.parametrize("fmt", [FP4, FpFormat(3, 2), FpFormat(4, 3)], ids=["fp4", "1,3,2", "1,4,3"])
+    @pytest.mark.parametrize("beta", [0.6, 1.0, 2.0])
+    def test_bias_shifts_with_the_scale_at_every_scale(self, fmt, beta):
+        # levels scale as 2**bias: alpha * 2**-k moves the optimum by -k, down to alpha near 1e-57
+        dist = unit_variance_gennorm(beta)
+        b0 = optimize_bias(dist, fmt)
+        for k in (1, 43, 190):
+            shifted = GenNormParams(beta, 0.0, math.ldexp(dist.alpha, -k))
+            assert optimize_bias(shifted, fmt) == pytest.approx(b0 - k, abs=1e-6)
+
+    def test_tiny_scale_quantizes_to_nonzero_levels(self):
+        x = np.random.default_rng(5).laplace(0.0, 1e-13, 5000)
+        fmt = FP4.with_bias(optimize_bias(GenNormParams(1.0, 0.0, 1e-13), FP4))
+        assert np.count_nonzero(dequantize(quantize(x, fmt))) > 2500

@@ -191,6 +191,9 @@ class TestTrainConfig:
             TrainConfig(batch_size=8.5)
         with pytest.raises(ValueError):
             TrainConfig(hidden=(1.5,))
+        for bad in ({"seed": True}, {"seed": -1}, {"seed": 1.5}, {"eta": True}, {"gamma": False}):
+            with pytest.raises(ValueError):
+                TrainConfig(**bad)
 
     @pytest.mark.parametrize("hidden", [(0,), (-3,), (16, 0)])
     def test_rejects_hidden_sizes_a_model_cannot_build(self, hidden):

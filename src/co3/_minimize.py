@@ -1,4 +1,10 @@
-"""Deterministic 1-D scalar search helpers shared by the bias and shape fits."""
+"""Deterministic 1-D scalar searches.
+
+The shape fit (``distmodel.fit_gennorm``) is one ``golden_section`` call. The
+bias search (``fpq.optimize_bias``), whose objective can have several local
+minima, scores a grid by ``bounded_scores`` and refines its argmin by
+``grid_then_golden``.
+"""
 
 import math
 

@@ -317,7 +317,16 @@ def _code_tables(codebook):
     left[order] = codes << np.uint64(64 - top)
     first = np.flatnonzero(np.diff(lens, prepend=0))
     shifts = top - lens[first]
+    # the lookup table is the canonical tiling: each code of l <= k bits, in
+    # canonical order from entry 0, fills the 2**(k - l) prefixes it begins
     k = min(top, _TABLE_BITS)
+    short = int(np.searchsorted(lens, k, side="right"))  # the longer codes come last
+    span = 1 << (k - lengths[order[:short]])
+    filled = int(span.sum())
+    lut_len = np.zeros(1 << k, dtype=np.uint8)
+    lut_sym = np.zeros(1 << k, dtype=np.min_scalar_type(codebook.level_count - 1))
+    lut_len[:filled] = np.repeat(lens[:short], span)
+    lut_sym[:filled] = np.repeat(order[:short], span)
     tables = _CodeTables(
         lengths=lengths,
         left=left,
@@ -326,16 +335,9 @@ def _code_tables(codebook):
         shifts=shifts,
         offsets=(codes[first] >> shifts) - first.astype(np.uint64),
         run_lens=lens[first].astype(np.uint8),
-        lut_len=None,
-        lut_sym=None,
-        long_from=kraft[np.searchsorted(lens, k, side="right")],  # the longer codes come last
-    )
-    # a k-bit prefix padded with zeros is a window of the code it begins
-    lut_len, lut_sym = _lookup(tables, np.arange(1 << k, dtype=np.uint64) << np.uint64(top - k))
-    short = lut_len <= k
-    tables = tables._replace(
-        lut_len=np.where(short, lut_len, 0).astype(np.uint8),
-        lut_sym=np.where(short, lut_sym, 0).astype(np.min_scalar_type(codebook.level_count - 1)),
+        lut_len=lut_len,
+        lut_sym=lut_sym,
+        long_from=kraft[short],
     )
     for table in tables:
         if isinstance(table, np.ndarray):

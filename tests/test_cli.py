@@ -373,6 +373,15 @@ class TestCodec:
         assert run_cli(args) == 1
         assert capsys.readouterr().err.startswith("error: the standard deviation")
 
+    def test_encode_with_a_mean_past_the_bias_search_fails_typed(self, tmp_path, capsys):
+        # |mu| / sigma is 1.4e300; the bias quadrature would square it
+        infile = tmp_path / "g.f32"
+        np.ones(10, dtype="<f4").tofile(infile)
+        args = ["codec", "encode", str(infile), str(tmp_path / "g.co3"), "--mu", "1", "--alpha", "1e-300", "--beta", "2"]
+        assert run_cli(args) == 1
+        assert capsys.readouterr().err.startswith("error: |mu| / sigma")
+        assert not (tmp_path / "g.co3").exists()
+
     def test_encode_rejects_a_partial_trailing_value(self, tmp_path, capsys):
         infile, outfile = tmp_path / "g.f32", tmp_path / "g.co3"
         infile.write_bytes(np.ones(5, dtype="<f4").tobytes() + b"\x00\x00")  # 22 bytes

@@ -4,11 +4,11 @@ import warnings
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.optimize
 import scipy.special
 import scipy.stats
 
 from co3 import distmodel
-from co3._minimize import grid_then_golden
 from co3.distmodel import (
     DegenerateSampleError,
     GenNormParams,
@@ -32,21 +32,6 @@ from co3.fpq import FP4
 def unit_variance(beta, mu=0.0):
     alpha = math.sqrt(math.exp(math.lgamma(1 / beta) - math.lgamma(3 / beta)))
     return GenNormParams(beta, mu, alpha)
-
-
-def full_grid_fit_gennorm(samples):
-    """fit_gennorm before it bounded its shape grid: every grid shape gets a profile_alpha pass."""
-    x = np.asarray(samples, dtype=np.float64).ravel()
-    mu = float(np.mean(x))
-    dev = np.abs(x - mu)
-
-    def neg_profile_loglik(beta):
-        alpha = profile_alpha(beta, dev)
-        return -(math.log(beta) - math.log(2.0) - math.log(alpha) - math.lgamma(1.0 / beta) - 1.0 / beta)
-
-    grid = np.geomspace(*distmodel.BETA_SEARCH_RANGE, 61)
-    beta = grid_then_golden(neg_profile_loglik, grid, [neg_profile_loglik(b) for b in grid], 1e-7)
-    return GenNormParams(beta, mu, profile_alpha(beta, dev))
 
 
 class TestIncompleteGamma:
@@ -205,7 +190,7 @@ class TestFits:
         "samples, message",
         [
             (np.r_[np.zeros(199), [1e-300]], "zero standard deviation"),  # squares underflow
-            (np.random.default_rng(0).laplace(0, 1e-70, 1000), "underflows to zero"),  # |x - mu|^5 does
+            (np.random.default_rng(0).laplace(0, 1e-170, 1000), "zero standard deviation"),  # so do these
             (np.r_[np.zeros(199_999), [5e-324]], "zero standard deviation"),  # mean and deviations underflow too
         ],
     )
@@ -280,32 +265,30 @@ class TestFits:
         assert abs(fit.beta - betas[bi]) <= db
         assert alphas[ai] / da_rel <= fit.alpha <= alphas[ai] * da_rel
 
+    def test_sample_whose_alpha_overflows_raises_typed(self):
+        # 200 values at +-1.5e308 fit beta 5, and alpha = 5^(1/5) * 1.5e308 overflows
+        samples = np.r_[np.full(100, 1.5e308), np.full(100, -1.5e308)]
+        for fit in (fit_gennorm, fit_all):
+            with pytest.raises(DegenerateSampleError, match="alpha overflows"):
+                fit(samples)
 
-    @pytest.mark.parametrize("n", [100, 1000, 33_024])
-    @pytest.mark.parametrize("beta", [0.2, 0.5, 1.0, 2.0, 4.0])
-    def test_bounded_shape_grid_gives_the_full_grid_fit(self, n, beta):
-        rng = np.random.default_rng(int(100 * beta) + n)
-        for mu, alpha in [(0.0, 1.0), (0.01, 3e-4), (-20.0, 50.0)]:
-            x = sample_gennorm(GenNormParams(beta, mu, alpha), n, rng)
-            assert fit_gennorm(x) == full_grid_fit_gennorm(x)
-
-    def test_bounded_shape_grid_on_ties_and_zero_deviations(self):
-        rng = np.random.default_rng(14)
-        samples = [
-            np.round(rng.laplace(0, 2, 5000)),  # many ties
-            np.r_[np.zeros(300), np.ones(100), -np.ones(100)],  # deviations include zeros
-            np.r_[np.ones(200), -np.ones(200)],  # one deviation: log M is linear in beta
-            np.r_[np.zeros(500), 3.0, rng.normal(size=200)],
-        ]
-        for x in samples:
-            assert fit_gennorm(x) == full_grid_fit_gennorm(x)
+    @pytest.mark.parametrize("k", [-300, -232, 300, 531, 1000])
+    def test_fit_is_exact_at_every_power_of_two_scale(self, k):
+        # the old grid lost the fit here: M(beta) overflowed or underflowed at some shapes
+        rng = np.random.default_rng(5)
+        for x in (rng.normal(size=2000), rng.laplace(size=2000), sample_gennorm(GenNormParams(0.5, 0.1, 1.0), 2000, rng)):
+            unit = fit_gennorm(x)
+            scaled = fit_gennorm(x * 2.0**k)
+            assert scaled.beta == unit.beta
+            assert scaled.alpha == unit.alpha * 2.0**k
+            assert scaled.mu == unit.mu * 2.0**k
 
     def test_bounded_shape_grid_saves_passes(self, monkeypatch):
         calls = []
         raw = distmodel.profile_alpha
         monkeypatch.setattr(distmodel, "profile_alpha", lambda *args: calls.append(args[0]) or raw(*args))
         fit_gennorm(np.random.default_rng(15).laplace(0, 1, 33_024))
-        assert len(calls) <= 60
+        assert len(calls) <= 40  # golden section to 1e-7 over [0.1, 5]: 39 passes, and one for alpha
 
 
 class TestW2:
@@ -413,3 +396,116 @@ def test_profile_alpha_closed_form():
     x = np.array([1.0, -1.0, 2.0, -2.0])
     # beta=2: alpha = sqrt(2 * mean(x^2))
     assert profile_alpha(2.0, np.abs(x)) == pytest.approx(math.sqrt(5.0), rel=1e-12)
+
+
+def shape_battery(kind):
+    """Samples of one kind for the shape-search oracles, each at its own location and scale."""
+    rng = np.random.default_rng(sum(map(ord, kind)))
+
+    def gennorm(beta, n):
+        return sample_gennorm(GenNormParams(beta, 0.0, 1.0), n, rng)
+
+    if kind == "gennorm":
+        betas = (0.15, 0.25, 0.4, 0.6, 0.8, 1.0, 1.3, 1.7, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0)
+        raw = [gennorm(b, n) for b in betas for n in (100, 300, 1000, 5000)]
+        raw += [gennorm(b, 33_024) for b in (0.3, 1.0, 2.0, 5.0)]
+    elif kind == "scale-mixture":
+        raw = [
+            np.where(rng.random(n) < w, r, 1.0) * gennorm(b, n)
+            for n in (500, 5000)
+            for b in (0.5, 1.0, 2.0)
+            for w, r in ((0.05, 10.0), (0.3, 4.0), (0.5, 0.1))
+        ]
+    elif kind == "bimodal":
+        raw = [rng.choice([-m, m], n) + rng.normal(size=n) for m in (0.5, 1.0, 1.5, 2.0, 3.0, 5.0) for n in (200, 2000)]
+    elif kind == "zero-heavy":
+        raw = [
+            np.where(rng.random(n) < p, 0.0, gennorm(b, n))
+            for p in (0.3, 0.6, 0.9, 0.97)
+            for b in (0.7, 1.0, 2.0)
+            for n in (300, 3000)
+        ]
+    elif kind == "uniform":
+        raw = [rng.uniform(-1.0, 1.0, n) for n in (100, 300, 1000, 3000, 10_000, 33_024)]
+    elif kind == "two-point":
+        raw = [np.where(rng.random(n) < p, 1.0, -1.0) for p in (0.5, 0.3, 0.1) for n in (100, 1000, 10_000)]
+    elif kind == "cauchy":
+        raw = [rng.standard_cauchy(n) for n in (100, 1000, 5000) for _ in range(3)]
+        raw += [rng.standard_t(df, 2000) for df in (1.5, 2.5, 4.0, 10.0)]
+    elif kind == "integer-ties":
+        raw = [np.round(rng.laplace(0, s, 2000)) for s in (0.3, 0.7, 1.0, 2.0, 5.0, 20.0)]
+        raw += [np.round(rng.normal(0, s, 2000)) for s in (0.4, 1.0, 3.0, 30.0)]
+        raw += [np.round(gennorm(0.5, 5000) * 3.0)]
+    elif kind == "float32-gradients":
+        raw = [(gennorm(b, 5000) * 1e-3).astype(np.float32) for b in (0.4, 0.54, 0.8, 1.0, 1.4, 2.0)]
+        raw += [np.r_[np.zeros(500), 3.0, rng.normal(size=200)], rng.exponential(size=2000)]
+    scales = np.geomspace(1e-6, 1e3, len(raw))
+    return [float(rng.normal()) * a + a * np.asarray(x, dtype=np.float64) for a, x in zip(scales, raw)]
+
+
+SHAPE_KINDS = (
+    "gennorm",
+    "scale-mixture",
+    "bimodal",
+    "zero-heavy",
+    "uniform",
+    "two-point",
+    "cauchy",
+    "integer-ties",
+    "float32-gradients",
+)
+
+
+class TestShapeSearch:
+    """fit_gennorm's one golden section against a dense shape grid and scipy's bounded Brent.
+
+    Golden section finds the global minimum only if the profile likelihood
+    has one basin; the grid checks that premise on every sample.
+    """
+
+    @staticmethod
+    def profile_nll(x, mu):
+        """Per-sample negative profile log-likelihood in beta, computed directly from the sample."""
+        dev = np.abs(np.asarray(x, dtype=np.float64) - mu)
+
+        def nll(beta):
+            log_alpha = (math.log(beta) + math.log(np.mean(dev**beta))) / beta
+            return -(math.log(beta) - math.log(2.0) - log_alpha - math.lgamma(1.0 / beta) - 1.0 / beta)
+
+        return nll
+
+    @staticmethod
+    def check_against_oracles(x):
+        fit = fit_gennorm(x)
+        nll = TestShapeSearch.profile_nll(x, fit.mu)
+        betas = np.geomspace(*distmodel.BETA_SEARCH_RANGE, 200)
+        grid = np.array([nll(b) for b in betas])
+        padded = np.r_[np.inf, grid, np.inf]
+        minima = np.flatnonzero((grid < padded[:-2]) & (grid <= padded[2:]))
+        assert minima.size == 1, f"local minima at beta {betas[minima]}"
+        ref = scipy.optimize.minimize_scalar(nll, bounds=distmodel.BETA_SEARCH_RANGE, method="bounded")
+        if minima[0] in (0, betas.size - 1):
+            # a minimum on the boundary: golden section ends within its tolerance of it
+            assert abs(fit.beta - betas[minima[0]]) <= 1e-7
+        else:
+            ours = nll(fit.beta)
+            for best in (grid.min(), ref.fun):
+                assert ours <= best + 1e-8 * max(abs(best), 1.0)
+        dev = np.abs(x - fit.mu)
+        assert fit.alpha == pytest.approx((fit.beta * np.mean(dev**fit.beta)) ** (1.0 / fit.beta), rel=1e-12)
+
+    def test_battery_holds_150_samples(self):
+        assert sum(len(shape_battery(kind)) for kind in SHAPE_KINDS) >= 150
+
+    @pytest.mark.parametrize("kind", SHAPE_KINDS)
+    def test_one_basin_and_the_oracles_minimum(self, kind):
+        for x in shape_battery(kind):
+            self.check_against_oracles(x)
+
+    @pytest.mark.xfail(strict=True, reason="two basins: golden section can take the wrong one (CHANGES.md FOUND)")
+    @pytest.mark.parametrize("n", [2000, 20_000])
+    def test_three_valued_samples_have_two_basins(self, n):
+        # half zeros, a quarter each at +-1: the minimum is near beta 0.11 (n 2000) and 0.18
+        # (n 20000), and a second basin at the upper end takes the search to beta 5
+        x = np.random.default_rng(0).choice([-1.0, 0.0, 1.0], n, p=[0.25, 0.5, 0.25])
+        self.check_against_oracles(x)

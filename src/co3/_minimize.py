@@ -1,8 +1,9 @@
 """Deterministic 1-D scalar searches.
 
-The shape fit (``distmodel.fit_gennorm``) is one ``golden_section`` call. The
-bias search (``fpq.optimize_bias``), whose objective can have several local
-minima, scores a grid by ``bounded_scores`` and refines its argmin by
+The shape fit (``distmodel.fit_gennorm``) is one ``golden_section`` call, in
+ln beta, whose result it compares with the range's ends. The bias search
+(``fpq.optimize_bias``), whose objective can have several local minima,
+scores a grid by ``bounded_scores`` and refines its argmin by
 ``grid_then_golden``.
 """
 

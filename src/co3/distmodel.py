@@ -350,15 +350,17 @@ def profile_alpha(beta, deviations):
 def fit_gennorm(samples):
     """GenNorm MLE with mu pinned to the sample mean and alpha profiled out.
 
-    The shape comes from one golden-section search (``_minimize.golden_section``)
-    of the negative profile log-likelihood over ``beta in [0.1, 5]``, to 1e-7,
-    so the fit is deterministic for a fixed input. Golden section needs one
-    basin. That premise is measured, not proved: ``TestShapeSearch`` in
-    ``tests/test_distmodel.py`` checks it, and the result against a dense
+    The shape minimizes the negative profile log-likelihood over ``beta in
+    [0.1, 5]`` by one golden-section search (``_minimize.golden_section``) in
+    ln beta, to 1e-7 relative, then takes the best of its result and the
+    range's two ends. Samples of a few values, such as three values with a
+    central mass, have a second local minimum at an end, which that
+    comparison catches; in ln beta the first probes (beta 0.45 and 1.12)
+    keep the search out of the end's basin when the interior one is lower.
+    These premises are measured, not proved: ``TestShapeSearch`` in
+    ``tests/test_distmodel.py`` checks them, and the result against a dense
     beta grid and scipy, on GenNorm, mixture, bimodal, zero-heavy, uniform,
-    two-point, Cauchy and integer-tie samples. Samples of about three values
-    with a central mass break it: the likelihood then has a second basin at
-    the upper end, and the search can end there.
+    two-point, few-valued, Cauchy and integer-tie samples.
 
     The deviations |x - mu| are divided by an exact power of two s near their
     largest, so M(beta) = mean (|x - mu| / s)^beta lies in [1/n, 2^beta] at
@@ -378,13 +380,19 @@ def fit_gennorm(samples):
     s = _power_of_two_below(float(np.max(dev)))
     dev /= s
 
-    def neg_profile_loglik(beta):
+    def profile(beta):
+        return beta, profile_alpha(beta, dev)
+
+    def neg_profile_loglik(fit):
         # per-sample profile log-likelihood less ln s: ln b - ln 2 - ln a - lgamma(1/b) - 1/b
-        alpha = profile_alpha(beta, dev)
+        beta, alpha = fit
         return -(math.log(beta) - math.log(2.0) - math.log(alpha) - math.lgamma(1.0 / beta) - 1.0 / beta)
 
-    beta = golden_section(neg_profile_loglik, *BETA_SEARCH_RANGE, 1e-7)
-    alpha = profile_alpha(beta, dev) * s
+    lo, hi = BETA_SEARCH_RANGE
+    # a bracket 2e-7 wide in ln beta puts its midpoint within 1e-7 of the minimum
+    t = golden_section(lambda t: neg_profile_loglik(profile(math.exp(t))), math.log(lo), math.log(hi), 2e-7)
+    beta, alpha = min(map(profile, (math.exp(t), lo, hi)), key=neg_profile_loglik)
+    alpha *= s
     if math.isinf(alpha):
         raise DegenerateSampleError("the fitted alpha overflows float64")
     return GenNormParams(beta, mu, alpha)

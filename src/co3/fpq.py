@@ -248,12 +248,13 @@ _QUAD_NODES = 4096
 # +-16 sigma span in CHANGES.md; the ROADMAP item "An exact bias objective
 # from closed-form cell moments" replaces the quadrature)
 _QUAD_SPAN_SIGMAS = 16.0
-# optimize_bias rejects a model with |mu| / sigma at or above this. The
-# quadrature squares errors near mu / sigma and weights them by the density,
-# which overflows float64 from |mu| / sigma = 2**498 at beta 0.1. Past about
-# 2**57, mu +- 16 sigma rounds to mu and the objective reads 0 at every bias,
-# so the limit turns away no model the search could serve.
-_MAX_MU_SIGMAS = 2.0**256
+# optimize_bias rejects a model with |mu| / sigma at or above this. From
+# there the float64s around mu / sigma are sigma or more apart, so the
+# quadrature's nodes over mu +- 16 sigma round onto 32 values or fewer and the
+# bias it returns is set by rounding: FP4 at beta 2 gives 3.90 at 2**54 and
+# 2.25 at 2**56, where each power of two from 2**12 to 2**52 tried gives the
+# grid's end, 4.
+_MAX_MU_SIGMAS = 2.0**52
 # optimize_bias's search space in unit-variance coordinates: 161 biases from
 # -4 to 4 in steps of 0.05, then golden section to this tolerance
 _BIAS_GRID = np.arange(-4.0, 4.0 + 0.5 * 0.05, 0.05)
@@ -348,14 +349,14 @@ def optimize_bias(dist, fmt):
     score (``_minimize.bounded_scores``); the others cannot be the grid
     argmin. Golden section then refines the grid argmin between its
     neighbors, one scalar call per step, so the result is the one the full
-    grid gives. A model with |mu| / sigma of ``_MAX_MU_SIGMAS`` (2**256) or
+    grid gives. A model with |mu| / sigma of ``_MAX_MU_SIGMAS`` (2**52) or
     more raises ``ValueError`` before any pass.
     """
     sigma = dist.sigma
     if math.isinf(sigma):
         raise ValueError(f"the standard deviation of {dist} overflows float64")
     if not abs(dist.mu) / sigma < _MAX_MU_SIGMAS:
-        raise ValueError(f"|mu| / sigma of {dist} is past the bias quadrature's range (2**256)")
+        raise ValueError(f"|mu| / sigma of {dist} is past the bias quadrature's range (2**52)")
     unit = GenNormParams(dist.beta, dist.mu / sigma, dist.alpha / sigma)
 
     def objective(b):

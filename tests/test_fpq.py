@@ -451,13 +451,21 @@ class TestBias:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_mean_past_the_quadrature_range_fails_typed(self):
-        # |mu| / sigma near 1.4e154: the quadrature's squared errors would overflow into NaN scores
-        for dist in (GenNormParams(2.0, 1e160, 1e6), GenNormParams(2.0, -1.0, 1e-300), GenNormParams(0.5, 1e300, 1e-300)):
+        # from |mu| / sigma = 2**52 the float64s around mu / sigma are sigma apart; near 1.4e154
+        # the quadrature's squared errors would overflow into NaN scores
+        unit = unit_variance_gennorm(2.0)
+        for dist in (
+            GenNormParams(2.0, 2.0**52 * unit.sigma, unit.alpha),
+            GenNormParams(2.0, -(2.0**60), 1.0),
+            GenNormParams(2.0, 1e160, 1e6),
+            GenNormParams(2.0, -1.0, 1e-300),
+            GenNormParams(0.5, 1e300, 1e-300),
+        ):
             with pytest.raises(ValueError, match="quadrature's range"):
                 optimize_bias(dist, FP4)
         # just inside the limit the search runs without a warning, at the smallest fitted shape
         inside = unit_variance_gennorm(0.1)
-        assert math.isfinite(optimize_bias(GenNormParams(0.1, 2.0**255 * inside.sigma, inside.alpha), FP4))
+        assert math.isfinite(optimize_bias(GenNormParams(0.1, 2.0**51 * inside.sigma, inside.alpha), FP4))
 
     @pytest.mark.parametrize("fmt", [FP4, FpFormat(3, 2), FpFormat(4, 3)], ids=["fp4", "1,3,2", "1,4,3"])
     @pytest.mark.parametrize("beta", [0.6, 1.0, 2.0])

@@ -3,7 +3,10 @@
 Subcommands: train, bias-sweep, fit-dist, codec, report. All outputs are
 plot-ready CSV plus a key:value summary; nothing needs to be scraped from
 logs. Config precedence is defaults < --config JSON file < command-line
-flags, and the CO3_OUT environment variable overrides --out.
+flags, and the CO3_OUT environment variable overrides --out. ``codec
+encode`` builds a file's codec as a training refresh builds a layer's
+(``trainer.tensor_codec``): the GenNorm model comes from the file, and the
+line it prints names it.
 """
 
 import argparse
@@ -255,16 +258,14 @@ def cmd_codec(args):
         if len(raw) % 4:
             raise ValueError(f"{args.infile} holds {len(raw)} bytes, not a whole number of 4-byte f32 values")
         x = np.frombuffer(raw, dtype="<f4").astype(np.float64)
-        dist = distmodel.GenNormParams(args.beta, args.mu, args.alpha)
-        bias = args.bias if args.bias is not None else fpq.optimize_bias(dist, fmt)
-        fmt = fmt.with_bias(float(np.float32(bias)))
-        codebook = entropy.build_codebook(distmodel.cell_probabilities(dist, fmt))
+        fmt, codebook, gn, fitted = trainer.tensor_codec(trainer.fit_sample(x), fmt)
         block = entropy.encode(fpq.quantize(x, fmt), codebook)
         Path(args.outfile).write_bytes(block.to_bytes())
         bits_per = block.payload_bits / max(1, x.size)
         print(
             f"encoded {x.size} values: payload_bits={block.payload_bits} "
-            f"header_bits={block.header_bits} bits_per_weight={bits_per:.4f}"
+            f"header_bits={block.header_bits} bits_per_weight={bits_per:.4f} "
+            f"beta={gn.beta:.6g} mu={gn.mu:.6g} alpha={gn.alpha:.6g} fit_fallback={'no' if fitted else 'yes'}"
         )
     else:
         data = Path(args.infile).read_bytes()
@@ -317,10 +318,6 @@ def build_parser():
     c.add_argument("infile", type=str)
     c.add_argument("outfile", type=str)
     c.add_argument("--fp", type=str, default="1,2,1")
-    c.add_argument("--bias", type=float, default=None)
-    c.add_argument("--beta", type=float, default=2.0)
-    c.add_argument("--mu", type=float, default=0.0)
-    c.add_argument("--alpha", type=float, default=1.4142135623730951)
     c.set_defaults(func=cmd_codec)
 
     r = sub.add_parser("report", help="summarize a completed run directory")

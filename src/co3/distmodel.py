@@ -28,6 +28,13 @@ BETA_SEARCH_RANGE = (0.1, 5.0)
 MIN_FIT_SAMPLES = 100
 CELL_PROB_FLOOR = 1e-12
 W2_MAX_QUANTILES = 4096
+# fpq.optimize_bias rejects a model with |mu| / sigma at or above this, and
+# fit_gennorm fits none. From there the float64s around mu / sigma are sigma
+# or more apart, so the bias quadrature's nodes over mu +- 16 sigma round onto
+# 32 values or fewer and the bias it returns is set by rounding: FP4 at beta 2
+# gives 3.90 at 2**54 and 2.25 at 2**56, where each power of two from 2**12 to
+# 2**52 tried gives the grid's end, 4.
+MAX_MU_SIGMAS = 2.0**52
 
 
 class DegenerateSampleError(ValueError):
@@ -370,7 +377,9 @@ def fit_gennorm(samples):
     ``profile_alpha(beta, |x - mu| / s) * s``.
 
     Raises ``DegenerateSampleError`` for a sample whose standard deviation is
-    zero, and for one whose fitted alpha overflows float64.
+    zero, for one whose fitted alpha overflows float64, and for one whose
+    fitted |mu| / sigma is ``MAX_MU_SIGMAS`` or more, which the bias search
+    rejects (a near-constant sample, whose shape fit goes to beta 0.1).
     """
     x = _check_sample(samples)
     mu, sd = mean_std(x)
@@ -395,7 +404,10 @@ def fit_gennorm(samples):
     alpha *= s
     if math.isinf(alpha):
         raise DegenerateSampleError("the fitted alpha overflows float64")
-    return GenNormParams(beta, mu, alpha)
+    fit = GenNormParams(beta, mu, alpha)
+    if not abs(mu) / fit.sigma < MAX_MU_SIGMAS:
+        raise DegenerateSampleError(f"the fitted |mu| / sigma of {fit} is past the bias search's range (2**52)")
+    return fit
 
 
 # ----------------------------------------------------------------------

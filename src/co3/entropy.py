@@ -230,8 +230,15 @@ class EncodedBlock:
 def encode(q, codebook, *, user_id=0, iteration=0, layer_id=0):
     """Concatenate canonical codewords MSB-first and byte-pad with zeros.
 
-    The header carries the format's bias as a float32, so it must be one.
+    The header must carry the block, so the codebook has the format's level
+    count, the format's bias is a float32, and the ids fit their u16, u32
+    and u16 fields; any other block raises ``ValueError``.
     """
+    if codebook.level_count != q.fmt.level_count:
+        raise ValueError(f"a {codebook.level_count}-level codebook for a {q.fmt.level_count}-level format")
+    for name, value, bits in (("user_id", user_id, 16), ("iteration", iteration, 32), ("layer_id", layer_id, 16)):
+        if not 0 <= value < 1 << bits:
+            raise ValueError(f"{name} {value} does not fit the header's u{bits} field")
     sym = np.asarray(q.symbols).ravel()
     if sym.size and (sym.min() < 0 or sym.max() >= codebook.level_count):
         bad = int(np.argwhere((sym < 0) | (sym >= codebook.level_count))[0][0])

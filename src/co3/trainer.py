@@ -6,8 +6,9 @@ round runs in three steps:
 1. every user computes its loss and local gradient, and from it each
    layer's quantizer input g + gamma * m, once, before any memory moves;
 2. if a refresh is due, the GenNorm fit, exponent biases and codebooks are
-   rebuilt from those inputs, pooled over users (at the first round of each
-   epoch by default, at every round with ``rebuild="iteration"``); with
+   rebuilt from those inputs, pooled over users, by ``tensor_codec`` per
+   layer, which ``co3 codec encode`` uses on a file too (at the first round
+   of each epoch by default, at every round with ``rebuild="iteration"``); with
    ``keep_fit_samples`` the epoch's first refresh keeps each fitted layer's
    sample, and ``fits.csv`` fits and scores the three families on those;
 3. every user quantizes the same inputs to the low-bit floating-point grid,
@@ -285,10 +286,11 @@ _FALLBACK_ALPHA = 1e-8
 FIT_SAMPLE_CAP = 200_000  # values per layer fit; larger pooled layers are subsampled evenly
 
 
-def _subsample(values, cap):
-    if values.size <= cap:
+def fit_sample(values):
+    """The values a fit takes: all of them, or ``FIT_SAMPLE_CAP`` evenly spaced ones."""
+    if values.size <= FIT_SAMPLE_CAP:
         return values
-    idx = np.linspace(0, values.size - 1, cap).astype(np.int64)
+    idx = np.linspace(0, values.size - 1, FIT_SAMPLE_CAP).astype(np.int64)
     return values[idx]
 
 
@@ -296,16 +298,38 @@ def _fit_layer(samples, previous):
     """(GenNorm, whether it was fitted) of one layer.
 
     A sample that ``fit_gennorm`` rejects with a typed error falls back to
-    ``previous``, the layer's last GenNorm, or without one to a narrow Normal.
+    ``previous``, the layer's last GenNorm, or without one to a narrow Normal
+    (at zero for an empty sample). Its standard deviation is at least
+    |mean| / 2**51, so the bias search accepts it.
     """
     try:
         return distmodel.fit_gennorm(samples), True
     except (distmodel.DegenerateSampleError, distmodel.InsufficientDataError):
         if previous is not None:
             return previous, False
-        mean, sd = distmodel.mean_std(samples)
-        alpha = min(max(sd, _FALLBACK_ALPHA) * math.sqrt(2.0), sys.float_info.max)
+        mean, sd = distmodel.mean_std(samples) if samples.size else (0.0, 0.0)
+        sd = max(sd, _FALLBACK_ALPHA, 2.0 * abs(mean) / distmodel.MAX_MU_SIGMAS)
+        alpha = min(sd * math.sqrt(2.0), sys.float_info.max)
         return distmodel.GenNormParams(2.0, mean, alpha), False
+
+
+def tensor_codec(samples, fmt, previous=None, bias_mode="optimize"):
+    """(format at the chosen bias, codebook, GenNorm, whether it was fitted) for the values ``samples``.
+
+    The codec of one layer at a refresh, and of a ``co3 codec encode`` file:
+    the GenNorm fit of ``_fit_layer`` (falling back to ``previous`` or a
+    narrow Normal), the exponent bias of ``bias_mode`` ("optimize" or
+    "polynomial") rounded to the float32 the block header carries, and the
+    Huffman codebook of the fitted model's cell probabilities at that bias.
+    """
+    gn, fitted = _fit_layer(samples, previous)
+    if bias_mode == "optimize":
+        b = fpq.optimize_bias(gn, fmt)
+    else:
+        b = fpq.bias_polynomial(gn.beta, gn.sigma)
+    # f32 so header-derived levels match encoder-side levels exactly
+    fmt = fmt.with_bias(float(np.float32(b)))
+    return fmt, entropy.build_codebook(distmodel.cell_probabilities(gn, fmt)), gn, fitted
 
 
 def _refresh(inputs, epoch, metrics, previous, first_of_epoch):
@@ -318,18 +342,12 @@ def _refresh(inputs, epoch, metrics, previous, first_of_epoch):
     cfg = metrics.config
     codecs = []
     for layer in range(len(inputs[0])):
-        samples = _subsample(np.concatenate([user[layer] for user in inputs]), FIT_SAMPLE_CAP)
-        gn, fitted = _fit_layer(samples, previous[layer][2] if previous else None)
+        samples = fit_sample(np.concatenate([user[layer] for user in inputs]))
+        fmt, cb, gn, fitted = tensor_codec(samples, cfg.fmt, previous[layer][2] if previous else None, cfg.bias_mode)
         metrics.fit_fallbacks += not fitted
         if fitted and first_of_epoch and cfg.keep_fit_samples:
             metrics.fit_samples[(epoch, layer)] = samples
-        if cfg.bias_mode == "optimize":
-            b = fpq.optimize_bias(gn, cfg.fmt)
-        else:
-            b = fpq.bias_polynomial(gn.beta, gn.sigma)
-        # f32 so header-derived levels match encoder-side levels exactly
-        fmt = cfg.fmt.with_bias(float(np.float32(b)))
-        codecs.append((fmt, entropy.build_codebook(distmodel.cell_probabilities(gn, fmt)), gn))
+        codecs.append((fmt, cb, gn))
     return codecs
 
 

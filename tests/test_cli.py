@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from co3 import cli, fpq
+from co3 import cli, entropy, fpq, trainer
 from co3.datasets import synth_blobs
 from co3.fpq import FP4, bias_polynomial, dequantize, quantize
 from co3.trainer import TrainConfig, train
@@ -318,9 +318,7 @@ class TestCodec:
         x.tofile(infile)
         encoded = tmp_path / "grads.co3"
         decoded = tmp_path / "grads.dec.f32"
-        code = run_cli(["codec", "encode", str(infile), str(encoded),
-                        "--fp", "1,2,1", "--beta", "1.0", "--mu", "0",
-                        "--alpha", "0.02"])
+        code = run_cli(["codec", "encode", str(infile), str(encoded), "--fp", "1,2,1"])
         assert code == 0
         out = capsys.readouterr().out
         assert "payload_bits=" in out and "bits_per_weight=" in out
@@ -333,53 +331,52 @@ class TestCodec:
         expected = dequantize(quantize(x.astype(np.float64), block.fmt)).astype("<f4")
         assert np.fromfile(decoded, dtype="<f4").tobytes() == expected.tobytes()
 
-    def test_encode_at_scale_1e160(self, tmp_path, capsys):
-        # alpha^2 overflows float64 here; the bias is log2 of the scale away from unit scale's
-        infile, encoded, decoded = tmp_path / "g.f32", tmp_path / "g.co3", tmp_path / "g.dec.f32"
-        x = np.random.default_rng(2).normal(0, 1, 1000).astype("<f4")
-        x.tofile(infile)
-        assert run_cli(["codec", "encode", str(infile), str(encoded), "--alpha", "1e160"]) == 0
-        assert run_cli(["codec", "decode", str(encoded), str(decoded)]) == 0
-        from co3.distmodel import GenNormParams
-        from co3.entropy import EncodedBlock
-        from co3.fpq import optimize_bias
-
-        fmt = EncodedBlock.from_bytes(encoded.read_bytes()).fmt
-        unit = optimize_bias(GenNormParams(2.0, 0.0, 1.0), FP4)
-        assert fmt.bias == pytest.approx(unit + math.log2(1e160), abs=1e-4)
-        expected = dequantize(quantize(x.astype(np.float64), fmt)).astype("<f4")
-        assert np.fromfile(decoded, dtype="<f4").tobytes() == expected.tobytes()
-
     def test_encode_at_scale_1e_13_keeps_values(self, tmp_path):
         infile, encoded, decoded = tmp_path / "g.f32", tmp_path / "g.co3", tmp_path / "g.dec.f32"
         x = np.random.default_rng(0).laplace(0, 1e-13, 1000).astype("<f4")
         x.tofile(infile)
-        assert run_cli(["codec", "encode", str(infile), str(encoded), "--beta", "1", "--alpha", "1e-13"]) == 0
+        assert run_cli(["codec", "encode", str(infile), str(encoded)]) == 0
         assert run_cli(["codec", "decode", str(encoded), str(decoded)]) == 0
         assert np.count_nonzero(np.fromfile(decoded, dtype="<f4")) > 500
 
-    def test_encode_with_levels_below_float64_fails_typed(self, tmp_path, capsys):
-        infile = tmp_path / "g.f32"
-        np.ones(10, dtype="<f4").tofile(infile)
-        args = ["codec", "encode", str(infile), str(tmp_path / "g.co3"), "--beta", "2", "--alpha", "5e-324"]
-        assert run_cli(args) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+    def test_encode_codes_the_file_with_the_codec_training_builds(self, tmp_path, capsys):
+        # gradient-scale values, which a unit-scale model would code all to zero
+        infile, encoded, decoded = tmp_path / "g.f32", tmp_path / "g.co3", tmp_path / "g.dec.f32"
+        x = np.random.default_rng(0).laplace(0, 1e-3, 10_000).astype("<f4")
+        x.tofile(infile)
+        assert run_cli(["codec", "encode", str(infile), str(encoded), "--fp", "1,2,1"]) == 0
+        fmt, cb, gn, fitted = trainer.tensor_codec(x.astype(np.float64), FP4)
+        assert fitted
+        assert encoded.read_bytes() == entropy.encode(quantize(x.astype(np.float64), fmt), cb).to_bytes()
+        out = capsys.readouterr().out
+        assert f"beta={gn.beta:.6g} mu={gn.mu:.6g} alpha={gn.alpha:.6g} fit_fallback=no" in out
+        assert run_cli(["codec", "decode", str(encoded), str(decoded)]) == 0
+        y = np.fromfile(decoded, dtype="<f4").astype(np.float64)
+        x = x.astype(np.float64)
+        assert np.count_nonzero(y) > 0.5 * x.size
+        assert np.mean((y - x) ** 2) / np.mean(x**2) < 0.05
 
-    def test_encode_past_float64_fails_typed(self, tmp_path, capsys):
-        # a standard deviation past float64's range: alpha 1e300 at shape 0.1
-        infile = tmp_path / "g.f32"
-        np.ones(10, dtype="<f4").tofile(infile)
-        args = ["codec", "encode", str(infile), str(tmp_path / "g.co3"), "--alpha", "1e300", "--beta", "0.1"]
-        assert run_cli(args) == 1
-        assert capsys.readouterr().err.startswith("error: the standard deviation")
+    @pytest.mark.parametrize("n", [0, 50])
+    def test_files_too_small_to_fit_encode_with_the_fallback(self, tmp_path, capsys, n):
+        infile, encoded, decoded = tmp_path / "g.f32", tmp_path / "g.co3", tmp_path / "g.dec.f32"
+        x = np.random.default_rng(3).normal(0, 0.01, n).astype("<f4")
+        x.tofile(infile)
+        assert run_cli(["codec", "encode", str(infile), str(encoded)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"encoded {n} values") and out.rstrip().endswith("fit_fallback=yes")
+        assert run_cli(["codec", "decode", str(encoded), str(decoded)]) == 0
+        fmt = entropy.EncodedBlock.from_bytes(encoded.read_bytes()).fmt
+        expected = dequantize(quantize(x.astype(np.float64), fmt)).astype("<f4")
+        assert np.fromfile(decoded, dtype="<f4").tobytes() == expected.tobytes()
 
-    def test_encode_with_a_mean_past_the_bias_search_fails_typed(self, tmp_path, capsys):
-        # |mu| / sigma is 1.4e300; the bias quadrature would square it
+    @pytest.mark.parametrize("flag", ["--bias", "--beta", "--mu", "--alpha"])
+    def test_model_flags_are_gone(self, tmp_path, capsys, flag):
         infile = tmp_path / "g.f32"
         np.ones(10, dtype="<f4").tofile(infile)
-        args = ["codec", "encode", str(infile), str(tmp_path / "g.co3"), "--mu", "1", "--alpha", "1e-300", "--beta", "2"]
-        assert run_cli(args) == 1
-        assert capsys.readouterr().err.startswith("error: |mu| / sigma")
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(["codec", "encode", str(infile), str(tmp_path / "g.co3"), flag, "1"])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
         assert not (tmp_path / "g.co3").exists()
 
     def test_encode_rejects_a_partial_trailing_value(self, tmp_path, capsys):
@@ -395,7 +392,7 @@ class TestCodec:
         infile = tmp_path / "x.f32"
         rng.normal(size=10).astype("<f4").tofile(infile)
         encoded = tmp_path / "x.co3"
-        run_cli(["codec", "encode", str(infile), str(encoded), "--bias", "0"])
+        run_cli(["codec", "encode", str(infile), str(encoded)])
         raw = bytearray(encoded.read_bytes())
         raw[0] ^= 0xFF
         encoded.write_bytes(bytes(raw))

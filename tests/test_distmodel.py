@@ -192,6 +192,8 @@ class TestFits:
             (np.r_[np.zeros(199), [1e-300]], "zero standard deviation"),  # squares underflow
             (np.random.default_rng(0).laplace(0, 1e-170, 1000), "zero standard deviation"),  # so do these
             (np.r_[np.zeros(199_999), [5e-324]], "zero standard deviation"),  # mean and deviations underflow too
+            # two neighbouring floats: beta 0.1 and alpha 2e-32, so |mu| / sigma is about 1e19
+            (np.r_[np.ones(150), np.full(50, np.nextafter(1.0, 2.0))], "past the bias search's range"),
         ],
     )
     @pytest.mark.parametrize("fit", [fit_gennorm, fit_all])

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import struct
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -24,6 +25,22 @@ from co3.entropy import (
     expected_length,
 )
 from co3.fpq import FP4, FpFormat, QuantizedTensor, dequantize, quantize
+
+
+class Alphabet(NamedTuple):
+    """A stand-in for an ``FpFormat`` of ``level_count`` levels at bias 0.
+
+    ``encode`` reads only these two fields of a format and ``decode`` none,
+    and the coding tests need alphabets of sizes that no format has.
+    """
+
+    level_count: int
+    bias: float = 0.0
+
+
+def coded(symbols, cb):
+    """``symbols`` as a quantized tensor over the alphabet of codebook ``cb``."""
+    return QuantizedTensor(symbols, Alphabet(cb.level_count))
 
 
 def entropy_bits(probs):
@@ -145,19 +162,19 @@ class TestCodebook:
 class TestEncodeDecode:
     def test_empty_tensor(self):
         cb = build_codebook([0.5, 0.25, 0.125, 0.125])
-        q = QuantizedTensor(np.zeros(0, dtype=np.int32), FP4)
+        q = coded(np.zeros(0, dtype=np.int32), cb)
         block = encode(q, cb)
         assert block.payload_bits == 0 and block.payload == b"" and block.pad_bits == 0
         assert decode(block, cb).size == 0
 
     def test_repeated_symbol_payload_bits(self):
         cb = build_codebook([0.5, 0.25, 0.125, 0.125])
-        q = QuantizedTensor(np.full(1000, 2, dtype=np.int32), FP4)
+        q = coded(np.full(1000, 2, dtype=np.int32), cb)
         assert encode(q, cb).payload_bits == 3000
 
     def test_worked_example_bit_pattern(self):
         cb = build_codebook([0.5, 0.25, 0.125, 0.125])
-        q = QuantizedTensor(np.array([0, 1, 0], dtype=np.int32), FP4)
+        q = coded(np.array([0, 1, 0], dtype=np.int32), cb)
         block = encode(q, cb)
         # codes A=0, B=10 -> bits 0100 -> byte 0b01000000, pad 4
         assert block.payload == bytes([0b01000000])
@@ -166,7 +183,7 @@ class TestEncodeDecode:
 
     def test_out_of_range_symbol_names_index(self):
         cb = build_codebook([0.5, 0.5])
-        q = QuantizedTensor(np.array([0, 1, 7], dtype=np.int32), FP4)
+        q = coded(np.array([0, 1, 7], dtype=np.int32), cb)
         with pytest.raises(ValueError, match="index 2"):
             encode(q, cb)
 
@@ -176,7 +193,7 @@ class TestEncodeDecode:
             n = int(rng.integers(2, 64))
             cb, _ = random_codebook(rng, n)
             sym = rng.integers(0, n, size=int(rng.integers(0, 400))).astype(np.int32)
-            block = encode(QuantizedTensor(sym, FP4), cb)
+            block = encode(coded(sym, cb), cb)
             assert np.array_equal(decode(block, cb), sym)
 
     def test_long_code_slow_path_round_trip(self):
@@ -188,20 +205,20 @@ class TestEncodeDecode:
         assert cb.max_length > 16
         rng = np.random.default_rng(9)
         sym = rng.integers(0, n, size=500).astype(np.int32)
-        block = encode(QuantizedTensor(sym, FP4), cb)
+        block = encode(coded(sym, cb), cb)
         assert np.array_equal(decode(block, cb), sym)
 
     def test_truncation_detected(self):
         cb = build_codebook([0.5, 0.25, 0.125, 0.125])
         sym = np.array([3, 3, 3, 3], dtype=np.int32)
-        block = encode(QuantizedTensor(sym, FP4), cb)
+        block = encode(coded(sym, cb), cb)
         with pytest.raises(TruncationError):
             decode(dataclasses.replace(block, symbol_count=10), cb)
 
     def test_exhaustion_at_the_end_of_the_payload_detected(self):
         # four 2-bit codewords fill the byte, so a fifth symbol finds no bits left
         cb = build_codebook([0.25] * 4)
-        block = encode(QuantizedTensor(np.arange(4, dtype=np.int32), FP4), cb)
+        block = encode(coded(np.arange(4, dtype=np.int32), cb), cb)
         assert block.pad_bits == 0
         with pytest.raises(TruncationError, match="5 symbols run past the 8-bit payload; 4 start in it"):
             decode(dataclasses.replace(block, symbol_count=5), cb)
@@ -291,7 +308,7 @@ class TestEncodeDecode:
         cb = HuffmanCodebook.from_lengths(lengths)
         rng = np.random.default_rng(longest)
         sym = rng.integers(0, len(lengths), 20_000).astype(np.int32)
-        block = encode(QuantizedTensor(sym, FP4), cb)
+        block = encode(coded(sym, cb), cb)
         bits = "".join(format(cb.codewords[s], f"0{cb.code_lengths[s]}b") for s in sym)
         bits += "0" * (-len(bits) % 8)
         assert block.payload == int(bits, 2).to_bytes(len(bits) // 8, "big")
@@ -300,7 +317,7 @@ class TestEncodeDecode:
     def test_trailing_garbage_detected(self):
         cb = build_codebook([0.5, 0.25, 0.125, 0.125])
         sym = np.array([0, 1, 0], dtype=np.int32)
-        good = encode(QuantizedTensor(sym, FP4), cb)
+        good = encode(coded(sym, cb), cb)
         # flip a pad bit
         corrupted = EncodedBlock(
             user_id=good.user_id,
@@ -331,7 +348,7 @@ class TestEncodeDecode:
     def test_wrong_symbol_count_vs_padding(self):
         cb = build_codebook([0.5, 0.25, 0.125, 0.125])
         sym = np.array([0, 1, 0], dtype=np.int32)
-        block = encode(QuantizedTensor(sym, FP4), cb)
+        block = encode(coded(sym, cb), cb)
         with pytest.raises(CorruptionError):
             decode(dataclasses.replace(block, symbol_count=2), cb)  # leaves undeclared trailing bits
 
@@ -379,6 +396,30 @@ class TestWireFormat:
         parsed = EncodedBlock.from_bytes(encode(q, cb).to_bytes())
         assert parsed.fmt == fmt
         assert np.array_equal(dequantize(decode_block(parsed)), dequantize(q))
+
+    def test_codebook_of_another_level_count_is_rejected(self):
+        # a 16-level code would decode the block in memory, but its header
+        # says 16 levels where the format has 15, which no reader accepts
+        q = quantize(np.random.default_rng(11).normal(0, 1, size=100), FP4)
+        with pytest.raises(ValueError, match="16-level codebook for a 15-level format"):
+            encode(q, HuffmanCodebook.from_lengths([4] * 16))
+
+    @pytest.mark.parametrize(
+        "ids, field",
+        [
+            (dict(user_id=70_000), "user_id 70000"),
+            (dict(user_id=-1), "user_id -1"),
+            (dict(iteration=2**32), "iteration 4294967296"),
+            (dict(layer_id=2**16), "layer_id 65536"),
+        ],
+    )
+    def test_ids_the_header_cannot_carry_are_rejected(self, ids, field):
+        q = quantize(np.random.default_rng(11).normal(0, 1, size=100), FP4)
+        cb = build_codebook(np.full(15, 1 / 15))
+        with pytest.raises(ValueError, match=f"{field} does not fit the header"):
+            encode(q, cb, **ids)
+        largest = encode(q, cb, user_id=2**16 - 1, iteration=2**32 - 1, layer_id=2**16 - 1)
+        assert EncodedBlock.from_bytes(largest.to_bytes()) == largest
 
     def test_bad_magic_and_truncation(self):
         fmt = FP4
@@ -465,7 +506,7 @@ def mutated_blocks(draw, codebooks=canonical_codebooks()):
     """An encoded block with any combination of the mutations applied."""
     cb = draw(codebooks)
     sym = draw(st.lists(st.integers(0, cb.level_count - 1), max_size=40))
-    block = encode(QuantizedTensor(np.array(sym, dtype=np.int32), FP4), cb)
+    block = encode(coded(np.array(sym, dtype=np.int32), cb), cb)
     payload, fields = bytearray(block.payload), {}
     for kind in draw(st.lists(st.sampled_from(MUTATIONS), unique=True)):
         if kind == "truncate":
@@ -581,7 +622,7 @@ class TestDecodeTables:
         sym = rng.integers(0, cb.level_count, 3000).astype(np.int32)
         longest = np.argsort(cb.code_lengths, kind="stable")[-20:]
         sym[: longest.size] = longest
-        block = encode(QuantizedTensor(sym, FP4), cb)
+        block = encode(coded(sym, cb), cb)
         assert decode(block, cb).tolist() == sym.tolist()
         assert_matches_oracle(cb, block)
 
@@ -592,7 +633,7 @@ class TestDecodeTables:
 
     def test_two_decodes_with_one_codebook_build_its_tables_once(self):
         cb = build_codebook([0.4, 0.3, 0.2, 0.1])
-        block = encode(QuantizedTensor(np.array([0, 3, 1, 2], dtype=np.int32), FP4), cb)
+        block = encode(coded(np.array([0, 3, 1, 2], dtype=np.int32), cb), cb)
         entropy._code_tables.cache_clear()
         decode(block, cb)
         decode_block(block)  # rebuilds an equal codebook from the header's lengths
@@ -602,7 +643,7 @@ class TestDecodeTables:
     def test_encode_and_decode_read_one_table(self):
         cb = build_codebook([0.4, 0.3, 0.2, 0.1])
         entropy._code_tables.cache_clear()
-        decode(encode(QuantizedTensor(np.array([0, 3, 1, 2], dtype=np.int32), FP4), cb), cb)
+        decode(encode(coded(np.array([0, 3, 1, 2], dtype=np.int32), cb), cb), cb)
         info = entropy._code_tables.cache_info()
         assert (info.misses, info.hits) == (1, 1)
 

@@ -467,6 +467,11 @@ class TestBias:
         inside = unit_variance_gennorm(0.1)
         assert math.isfinite(optimize_bias(GenNormParams(0.1, 2.0**51 * inside.sigma, inside.alpha), FP4))
 
+    def test_standard_deviation_past_float64_fails_typed(self):
+        # alpha 1e300 at shape 0.1 has a standard deviation near 5e312
+        with pytest.raises(ValueError, match="the standard deviation .* overflows float64"):
+            optimize_bias(GenNormParams(0.1, 0.0, 1e300), FP4)
+
     @pytest.mark.parametrize("fmt", [FP4, FpFormat(3, 2), FpFormat(4, 3)], ids=["fp4", "1,3,2", "1,4,3"])
     @pytest.mark.parametrize("beta", [0.6, 1.0, 2.0])
     def test_bias_shifts_with_the_scale_at_every_scale(self, fmt, beta):

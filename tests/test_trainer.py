@@ -390,6 +390,19 @@ class TestTrain:
         with pytest.raises((distmodel.DegenerateSampleError, distmodel.InsufficientDataError)):
             trainer.fit_table({(1, 0): samples})
 
+    @pytest.mark.parametrize("scale", [1.0, 2.0**30])
+    def test_near_constant_layer_falls_back_to_a_model_the_bias_search_takes(self, scale):
+        # the fit of two neighbouring floats has |mu| / sigma about 1e19, past
+        # the bias search's 2**52; at 2**30 the 1e-8 floor of the fallback's
+        # standard deviation would leave it past too
+        x = np.r_[np.ones(150), np.full(50, np.nextafter(1.0, 2.0))] * scale
+        metrics = trainer.RunMetrics(config=TrainConfig(epochs=1), param_count=x.size)
+        [(fmt, cb, gn)] = trainer._refresh([[x]], 1, metrics, None, True)
+        assert metrics.fit_fallbacks == 1
+        assert (gn.beta, gn.mu) == (2.0, float(np.mean(x)))
+        assert abs(gn.mu) / gn.sigma < distmodel.MAX_MU_SIGMAS
+        assert fmt.bias == float(np.float32(optimize_bias(gn, FP4)))
+
     def test_both_refresh_paths_fit_the_same_gennorm(self):
         # fits.csv's GenNorm row is the refresh's GenNorm
         samples = np.random.default_rng(8).laplace(0.001, 0.02, 2000)

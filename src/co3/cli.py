@@ -252,8 +252,8 @@ def cmd_fit_dist(args):
 
 
 def cmd_codec(args):
-    fmt = _parse_setting("fp", args.fp)
     if args.mode == "encode":
+        fmt = _parse_setting("fp", args.fp)
         raw = Path(args.infile).read_bytes()
         if len(raw) % 4:
             raise ValueError(f"{args.infile} holds {len(raw)} bytes, not a whole number of 4-byte f32 values")
@@ -317,7 +317,7 @@ def build_parser():
     c.add_argument("mode", choices=("encode", "decode"))
     c.add_argument("infile", type=str)
     c.add_argument("outfile", type=str)
-    c.add_argument("--fp", type=str, default="1,2,1")
+    c.add_argument("--fp", type=str, default="1,2,1", help="format to encode with; a block's header carries its own")
     c.set_defaults(func=cmd_codec)
 
     r = sub.add_parser("report", help="summarize a completed run directory")

@@ -83,6 +83,11 @@ class HuffmanCodebook:
         max_len = max(lengths)
         if sum(1 << (max_len - l) for l in lengths) != 1 << max_len:
             raise CorruptionError("code lengths violate Kraft equality")
+        # the dataclass's own hash, computed once: every _code_tables lookup takes it
+        object.__setattr__(self, "_hash", hash((lengths,)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def level_count(self):

@@ -184,6 +184,8 @@ class TrainConfig:
             raise ValueError(f"gamma must lie in [0, 1], got {self.gamma}")
         if self.users < 1 or self.epochs < 0 or self.batch_size < 1 or self.seed < 0:
             raise ValueError("users >= 1, epochs >= 0, batch_size >= 1, seed >= 0 required")
+        if self.users > 1 << 16:
+            raise ValueError(f"users must be at most 65536, the ids the header's u16 user_id carries, got {self.users}")
         if self.quantizer not in ("fp", "identity"):
             raise ValueError(f"unknown quantizer {self.quantizer!r}")
         if self.bias_mode not in ("optimize", "polynomial"):

@@ -387,6 +387,17 @@ class TestCodec:
         assert err.startswith("error: ") and "22 bytes" in err
         assert not outfile.exists()
 
+    def test_decode_ignores_the_format_flag(self, tmp_path):
+        # the header carries the format; 1,9,9 is one no encode accepts
+        infile, encoded, decoded = tmp_path / "g.f32", tmp_path / "g.co3", tmp_path / "g.dec.f32"
+        x = np.random.default_rng(2).laplace(0, 1e-3, 1000).astype("<f4")
+        x.tofile(infile)
+        assert run_cli(["codec", "encode", str(infile), str(encoded)]) == 0
+        assert run_cli(["codec", "decode", str(encoded), str(decoded), "--fp", "1,9,9"]) == 0
+        fmt = entropy.EncodedBlock.from_bytes(encoded.read_bytes()).fmt
+        expected = dequantize(quantize(x.astype(np.float64), fmt)).astype("<f4")
+        assert np.fromfile(decoded, dtype="<f4").tobytes() == expected.tobytes()
+
     def test_corrupted_magic_errors(self, tmp_path, capsys):
         rng = np.random.default_rng(1)
         infile = tmp_path / "x.f32"

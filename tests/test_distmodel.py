@@ -290,7 +290,20 @@ class TestFits:
         raw = distmodel.profile_alpha
         monkeypatch.setattr(distmodel, "profile_alpha", lambda *args: calls.append(args[0]) or raw(*args))
         fit_gennorm(np.random.default_rng(15).laplace(0, 1, 33_024))
-        assert len(calls) <= 40  # golden section to 2e-7 over ln beta: 37 passes, and the result and both ends
+        # the search's passes to 2e-7 over ln beta, and the result and both ends
+        assert len(calls) <= 40
+
+    def test_interior_shape_fits_take_brents_few_passes(self, monkeypatch):
+        # golden section took 37 passes and 3 more; Brent took 12 to 15 in all on these
+        calls = []
+        raw = distmodel.profile_alpha
+        monkeypatch.setattr(distmodel, "profile_alpha", lambda *args: calls.append(args[0]) or raw(*args))
+        rng = np.random.default_rng(3)
+        for beta in (0.3, 0.5, 1.0, 2.0):
+            for n in (1000, 20_000):
+                calls.clear()
+                fit_gennorm(sample_gennorm(GenNormParams(beta, 0.0, 1.0), n, rng))
+                assert len(calls) <= 20, (beta, n)
 
 
 class TestW2:
@@ -470,7 +483,7 @@ SHAPE_KINDS = (
 
 
 class TestShapeSearch:
-    """fit_gennorm's golden section and end comparison against a dense shape grid and scipy's bounded Brent.
+    """fit_gennorm's search and end comparison against a dense shape grid and scipy's bounded Brent.
 
     They find the global minimum if the profile likelihood has at most one
     interior basin, which the search settles in whenever it holds the
@@ -523,7 +536,7 @@ class TestShapeSearch:
         self.check_against_oracles(x)
 
     def test_sample_whose_minimum_is_the_upper_end_fits_it(self):
-        # 40 % zeros: golden section settles in the interior basin near beta 0.37, and
+        # 40 % zeros: the search settles in the interior basin near beta 0.37, and
         # the end beta 5 is lower
         x = np.random.default_rng(1).choice([-1.0, 0.0, 1.0], 200, p=[0.3, 0.4, 0.3])
         assert fit_gennorm(x).beta == distmodel.BETA_SEARCH_RANGE[1]

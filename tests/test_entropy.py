@@ -640,6 +640,29 @@ class TestDecodeTables:
         info = entropy._code_tables.cache_info()
         assert (info.misses, info.hits) == (1, 1)
 
+    def test_a_codebook_is_hashed_once_and_equal_ones_share_a_table(self):
+        hashed = []
+
+        class CountedLengths(tuple):
+            def __hash__(self):
+                hashed.append(len(self))
+                return super().__hash__()
+
+        lengths = TABLE_EDGE_CODEBOOKS["uniform-1-7-6"].code_lengths
+        cb = HuffmanCodebook(CountedLengths(lengths))
+        assert hashed == [len(lengths)]
+        entropy._code_tables.cache_clear()
+        for _ in range(3):
+            entropy._code_tables(cb)
+        assert hashed == [len(lengths)]
+        # equality and the hash are the dataclass's own: those of the lengths
+        twin = HuffmanCodebook.from_lengths(lengths)
+        assert twin == cb and hash(twin) == hash(cb) == hash((lengths,))
+        assert twin != HuffmanCodebook((1, 2, 2))
+        assert entropy._code_tables(twin) is entropy._code_tables(cb)
+        info = entropy._code_tables.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 4, 1)
+
     def test_encode_and_decode_read_one_table(self):
         cb = build_codebook([0.4, 0.3, 0.2, 0.1])
         entropy._code_tables.cache_clear()

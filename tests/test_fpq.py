@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from co3 import fpq
-from co3._minimize import grid_then_golden
+from co3._minimize import refine_grid_argmin
 from co3.distmodel import GenNormParams, gennorm_pdf, sample_gennorm
 from co3.fpq import (
     FP4,
@@ -81,7 +81,7 @@ def full_grid_optimize_bias(dist, fmt):
         return bias_objective(b, unit, fmt)
 
     grid = np.arange(-4.0, 4.0 + 0.5 * 0.05, 0.05)
-    return float(grid_then_golden(objective, grid, objective(grid), 1e-8) + math.log2(sigma))
+    return float(refine_grid_argmin(objective, grid, objective(grid), 1e-8) + math.log2(sigma))
 
 
 def elementwise_levels(mant, exp, bias):
@@ -429,13 +429,24 @@ class TestBias:
         raw = fpq.bias_objective
 
         def counted(b, *args):
-            if np.ndim(b):  # grid scores; golden steps are scalar calls
+            if np.ndim(b):  # grid scores; refinement steps are scalar calls
                 scored.extend(np.ravel(b))
             return raw(b, *args)
 
         monkeypatch.setattr(fpq, "bias_objective", counted)
         optimize_bias(unit_variance_gennorm(1.0), FP4)
         assert len(scored) == len(set(scored)) <= 40
+
+    @pytest.mark.parametrize("fmt", [FP4, FpFormat(3, 2), FpFormat(4, 3)], ids=["fp4", "1-3-2", "1-4-3"])
+    def test_refinement_takes_brents_few_steps(self, monkeypatch, fmt):
+        # golden section took 36 scalar calls; Brent took 8 to 12 on these
+        steps = []
+        raw = fpq.bias_objective
+        monkeypatch.setattr(fpq, "bias_objective", lambda b, *args: steps.append(np.ndim(b) == 0) or raw(b, *args))
+        for beta in (0.4, 0.54, 1.0, 1.4, 3.0):
+            steps.clear()
+            optimize_bias(unit_variance_gennorm(beta), fmt)
+            assert sum(steps) <= 16, beta
 
     def test_optimize_bias_builds_no_grid_per_bias(self):
         fmt = FpFormat(mant_bits=3, exp_bits=1)

@@ -195,6 +195,12 @@ class TestTrainConfig:
             with pytest.raises(ValueError):
                 TrainConfig(**bad)
 
+    def test_user_count_is_what_the_header_carries(self):
+        # user ids 0 .. users - 1 go into each block header's u16 user_id
+        assert TrainConfig(users=65_536).users == 65_536
+        with pytest.raises(ValueError, match="u16 user_id"):
+            TrainConfig(users=65_537)
+
     @pytest.mark.parametrize("hidden", [(0,), (-3,), (16, 0)])
     def test_rejects_hidden_sizes_a_model_cannot_build(self, hidden):
         with pytest.raises(ValueError, match="hidden layer sizes"):
